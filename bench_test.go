@@ -1,10 +1,12 @@
 // Package repro's root benchmark suite regenerates the paper's evaluation:
 // one benchmark per figure (Figure 4(a)-(d) export-time series, the Figure
-// 5/7/8 scenario replays, the T_ub ablation of Equations (1)-(2)) plus
-// microbenchmarks of every substrate the system is built from. Run with
+// 5/7/8 scenario replays, the T_ub ablation of Equations (1)-(2)) plus the
+// redistribution, finite-buffer and simulation kernels. Run with
 //
 //	go test -bench=. -benchmem
 //
+// It is a paper-shape smoke, not the performance gate: per-layer costs
+// (match, buffer, wire, transport, rep, collectives) are `bash bench/run.sh`.
 // Figure-4 benchmarks are scaled down by default; set -figfull to run the
 // paper-sized 1001-export configurations (seconds per run).
 package repro
@@ -12,7 +14,6 @@ package repro
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -22,10 +23,8 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/harness"
 	"repro/internal/match"
-	"repro/internal/rep"
 	"repro/internal/sim"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 var figFull = flag.Bool("figfull", false, "run paper-sized Figure 4 benchmarks (1001 exports)")
@@ -123,37 +122,6 @@ func BenchmarkOptimalStateOnset(b *testing.B) {
 	}
 }
 
-// BenchmarkExportOverlap runs the slow-importer overlap scenario (every
-// export matched and redistributed through a transport that charges a fixed
-// cost per bulk-data send) once per iteration, on both data planes, and
-// reports the exporter's per-iteration wall time for each. The async plane's
-// sender goroutines absorb the send cost, so async-iter-ns should track the
-// compute period while sync-iter-ns carries compute + sends. The checked-in
-// acceptance numbers come from couplebench -overlap (BENCH_PR3.json); this
-// benchmark keeps the comparison runnable via go test -bench.
-func BenchmarkExportOverlap(b *testing.B) {
-	cfg := harness.DefaultOverlap()
-	cfg.Exports = 20
-	cfg.Compute = time.Millisecond
-	cfg.SendCost = time.Millisecond
-	var cmp *harness.OverlapComparison
-	for i := 0; i < b.N; i++ {
-		var err error
-		cmp, err = harness.RunOverlapComparison(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !cmp.Identical() {
-			b.Fatalf("async plane diverged from sync baseline: %s", cmp)
-		}
-	}
-	b.ReportMetric(float64(cmp.Sync.IterNanos), "sync-iter-ns")
-	b.ReportMetric(float64(cmp.Async.IterNanos), "async-iter-ns")
-	b.ReportMetric(cmp.Ratio(), "async/sync")
-	b.ReportMetric(float64(cmp.Async.Pipeline.ExportStallNanos), "stall-ns")
-	b.ReportMetric(float64(cmp.Async.Pipeline.PeakQueueDepth), "peak-queue")
-}
-
 // Scenario benchmarks: Figures 5, 7 and 8 replayed per iteration (the cost
 // of the full export-pipeline state machine on the paper's exact traces).
 func BenchmarkScenarioFigure5(b *testing.B) { benchScenario(b, "5") }
@@ -176,242 +144,6 @@ func benchScenario(b *testing.B, fig string) {
 	}
 	b.ReportMetric(float64(sc.Stats.Copies), "memcpys")
 	b.ReportMetric(float64(sc.Stats.Skips), "skips")
-}
-
-// --- substrate microbenchmarks ---
-
-// BenchmarkMatchEvaluate measures the approximate-matching decision on a
-// realistic export history.
-func BenchmarkMatchEvaluate(b *testing.B) {
-	exports := make([]float64, 1000)
-	for i := range exports {
-		exports[i] = float64(i) + 0.6
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := match.Evaluate(match.REGL, 2.5, float64(i%900)+20, exports)
-		if d.Result == match.Pending && i%900 < 800 {
-			b.Fatal("unexpected pending")
-		}
-	}
-}
-
-// BenchmarkBufferOfferCopy measures the buffered-export path (the memcpy the
-// paper's Figure 4 measures), for the paper's per-process block size
-// (512x512 float64 = 2 MiB).
-func BenchmarkBufferOfferCopy(b *testing.B) {
-	data := make([]float64, 512*512)
-	m, err := buffer.NewManager(buffer.Config{Policy: match.REGL, Tol: 2.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(8 * len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := m.Offer(float64(i)+0.5, data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Buffered {
-			b.Fatal("expected buffering")
-		}
-		b.StopTimer()
-		// Free the buffer by moving the request horizon past everything.
-		if _, err := m.OnRequest(float64(i) + 0.8); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-	}
-}
-
-// BenchmarkBufferOfferSkip measures the skipped-export path buddy-help
-// enables: no copy at all.
-func BenchmarkBufferOfferSkip(b *testing.B) {
-	data := make([]float64, 512*512)
-	m, err := buffer.NewManager(buffer.Config{Policy: match.REGL, Tol: 2.5})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A decided request far in the future makes small timestamps skippable.
-	res, err := m.OnRequest(1e12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m.OnFinal(res.ReqIndex, match.Match, 1e12-0.25); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(8 * len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := m.Offer(float64(i)+0.5, data)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if r.Buffered {
-			b.Fatal("expected skip")
-		}
-	}
-}
-
-// BenchmarkStoreSteadyState measures the pooled export hot path at steady
-// state: after warm-up every buffered copy reuses a pool slice and a
-// recycled Entry, so the timed path must report 0 allocs/op (the body
-// fails the benchmark on any pool miss). Shared with couplebench -bench,
-// which records the result in BENCH_PR2.json.
-func BenchmarkStoreSteadyState(b *testing.B) {
-	harness.StoreSteadyStateBench(b, 512*512)
-}
-
-// BenchmarkObsvOverhead prices the observability layer on the data plane's
-// per-job instrument sequence. The disabled variant is the default
-// production path (atomic counters plus one nil ring check) and must stay
-// within noise of the pre-registry pipeline counters; the traced variant
-// adds the lock-free span record. Shared with couplebench -bench.
-func BenchmarkObsvOverhead(b *testing.B) {
-	b.Run("disabled", func(b *testing.B) { harness.ObsvOverheadBench(b, false) })
-	b.Run("traced", func(b *testing.B) { harness.ObsvOverheadBench(b, true) })
-}
-
-// BenchmarkFrameRoundTrip measures the zero-copy binary wire codec of the
-// TCP transport (encode into a reused buffer, decode with a warm interner).
-func BenchmarkFrameRoundTrip(b *testing.B) {
-	harness.FrameRoundTripBench(b)
-}
-
-// BenchmarkRepRoundTripCoalesced measures a rep-to-rep request/answer round
-// trip through the coalescing transport with a window of outstanding
-// requests (batches fill by count, as in the protocol's fan-out stages).
-func BenchmarkRepRoundTripCoalesced(b *testing.B) {
-	harness.RepRoundTripBench(b)
-}
-
-// BenchmarkTransportMem measures in-memory message round trips.
-func BenchmarkTransportMem(b *testing.B) {
-	net := transport.NewMemNetwork()
-	defer net.Close()
-	a, _ := net.Register(transport.Proc("B", 0))
-	c, _ := net.Register(transport.Proc("B", 1))
-	payload := make([]byte, 1024)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			m, err := c.Recv()
-			if err != nil {
-				return
-			}
-			if m.Kind == transport.KindControl {
-				return
-			}
-			c.Send(transport.Message{Kind: transport.KindPoint, Dst: a.Addr()})
-		}
-	}()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Send(transport.Message{Kind: transport.KindPoint, Dst: c.Addr(), Payload: payload})
-		if _, err := a.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	a.Send(transport.Message{Kind: transport.KindControl, Dst: c.Addr()})
-	<-done
-}
-
-// BenchmarkTransportTCP measures localhost TCP round trips through the
-// router (the framework's wide-area substrate).
-func BenchmarkTransportTCP(b *testing.B) {
-	router, err := transport.StartTCPRouter("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer router.Close()
-	net := transport.NewTCPNetwork(router.ListenAddr())
-	defer net.Close()
-	a, err := net.Register(transport.Proc("B", 0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := net.Register(transport.Proc("B", 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 1024)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			m, err := c.Recv()
-			if err != nil {
-				return
-			}
-			if m.Kind == transport.KindControl {
-				return
-			}
-			c.Send(transport.Message{Kind: transport.KindPoint, Dst: a.Addr()})
-		}
-	}()
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.Send(transport.Message{Kind: transport.KindPoint, Dst: c.Addr(), Payload: payload})
-		if _, err := a.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	a.Send(transport.Message{Kind: transport.KindControl, Dst: c.Addr()})
-	<-done
-}
-
-// BenchmarkCollectiveAllReduce measures a 8-process allreduce.
-func BenchmarkCollectiveAllReduce(b *testing.B) {
-	const n = 8
-	net := transport.NewMemNetwork()
-	defer net.Close()
-	comms := make([]*collective.Comm, n)
-	for r := 0; r < n; r++ {
-		ep, _ := net.Register(transport.Proc("B", r))
-		comms[r], _ = collective.New(transport.NewDispatcher(ep), "B", r, n)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < n; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				if _, err := comms[r].AllReduceScalar(float64(r), collective.Sum); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
-	}
-}
-
-// BenchmarkCollectiveAllReduceLarge compares the two large-vector AllReduce
-// algorithms head to head at 1 MiB per rank on an 8-rank group (the
-// bandwidth-bound regime where the ring's ~2x-per-rank traffic beats
-// recursive doubling's log2(n)x). One benchmark op is one full group
-// operation; with buffer reuse on, both report 0 allocs/op at steady state.
-// Shared with couplebench -collectives, which records the numbers and the
-// >=2x speedup gate in BENCH_PR8.json.
-func BenchmarkCollectiveAllReduceLarge(b *testing.B) {
-	const ranks, vecLen = 8, 1 << 17
-	b.Run("rd", func(b *testing.B) {
-		harness.CollectiveAllReduceBench(b, ranks, vecLen, collective.RecursiveDoubling)
-	})
-	b.Run("ring", func(b *testing.B) {
-		harness.CollectiveAllReduceBench(b, ranks, vecLen, collective.Ring)
-	})
-}
-
-// BenchmarkCollectiveAllReduceSteady is the zero-allocation hot path: 8 KiB
-// vectors, buffer reuse on, algorithm chosen by the dispatch table.
-func BenchmarkCollectiveAllReduceSteady(b *testing.B) {
-	harness.CollectiveAllReduceBench(b, 8, 1024, collective.Auto)
 }
 
 // BenchmarkRedistribution measures an MxN redistribution (2x2 blocks to 8
@@ -442,19 +174,6 @@ func BenchmarkRedistribution(b *testing.B) {
 			if err := dstGrids[tr.To].Unpack(tr.Sub, buf); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// BenchmarkScheduleComputation measures computing a 4->32 process
-// redistribution plan for the paper's 1024x1024 array.
-func BenchmarkScheduleComputation(b *testing.B) {
-	src, _ := decomp.NewBlock2D(1024, 1024, 2, 2)
-	dst, _ := decomp.NewRowBlock(1024, 1024, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decomp.FullSchedule(src, dst); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -548,43 +267,5 @@ func BenchmarkForcingSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Sample(float64(i), dst)
-	}
-}
-
-// BenchmarkWireFloat64s measures the bulk float codec.
-func BenchmarkWireFloat64s(b *testing.B) {
-	vals := make([]float64, 64*1024)
-	rng := rand.New(rand.NewSource(1))
-	for i := range vals {
-		vals[i] = rng.Float64()
-	}
-	b.SetBytes(int64(8 * len(vals)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enc := wire.EncodeFloat64s(vals)
-		if _, err := wire.DecodeFloat64s(enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRepAggregation measures the rep's response aggregation for a
-// 32-process program (31 PENDING responses plus one decisive MATCH).
-func BenchmarkRepAggregation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := rep.NewRequest(20, 32)
-		for rank := 0; rank < 31; rank++ {
-			if _, err := r.Add(rep.Response{Rank: rank, Result: match.Pending}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ans, err := r.Add(rep.Response{Rank: 31, Result: match.Match, MatchTS: 19.6})
-		if err != nil || ans == nil {
-			b.Fatal("no answer")
-		}
-		if len(ans.BuddyRanks) != 31 {
-			b.Fatal("wrong buddy ranks")
-		}
 	}
 }

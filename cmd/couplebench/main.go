@@ -2,7 +2,9 @@
 // per-iteration data-export time of the slowest process p_s of the forcing
 // program F, coupled to importer programs U of 4, 8, 16 and 32 processes
 // (configurations a-d), plus the buddy-help T_ub ablation (Equations (1)-(2))
-// and the optimal-state-onset sweep.
+// and the optimal-state-onset, tolerance-ratio and network-latency sweeps.
+// Performance numbers (per-layer costs, allocation, collective latencies) are
+// not its business: `bash bench/run.sh` is the repository's one benchmark.
 //
 // Examples:
 //
@@ -10,11 +12,13 @@
 //	couplebench -figure c -csv c.csv   # one configuration + CSV series
 //	couplebench -tub                   # buddy-help on/off ablation
 //	couplebench -onset 2,4,8,16,32     # optimal-state onset sweep
+//	couplebench coupleflight a.cpfl    # decode flight-recorder dumps
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -23,6 +27,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/metrics"
 	"repro/internal/obsv"
+	"repro/internal/obsv/diag"
 	"repro/internal/plot"
 )
 
@@ -32,96 +37,59 @@ func main() {
 	// Subcommand form: `couplebench coupleflight <dump.cpfl>...` decodes
 	// flight-recorder dumps into one merged cross-rank timeline.
 	if len(os.Args) > 1 && os.Args[1] == "coupleflight" {
-		if err := runCoupleflight(os.Args[2:]); err != nil {
+		if err := runCoupleflight(os.Stdout, os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "couplebench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	var (
-		figure    = flag.String("figure", "all", "Figure 4 configuration: a, b, c, d or all")
-		gridN     = flag.Int("n", 256, "global array is n x n (paper: 1024)")
-		exports   = flag.Int("exports", 1001, "number of exports (paper: 1001)")
-		every     = flag.Int("every", 20, "one request per this many exports (paper: 20)")
-		tol       = flag.Float64("tol", 2.5, "match tolerance (paper: 2.5, REGL)")
-		buddy     = flag.Bool("buddy", true, "enable the buddy-help optimization")
-		runs      = flag.Int("runs", 1, "runs to average (paper: 6)")
-		fast      = flag.Duration("fast", 200*time.Microsecond, "per-export compute of the fast F processes")
-		slow      = flag.Duration("slow", time.Millisecond, "per-export compute of the slow process p_s")
-		uwork     = flag.Duration("uwork", 300*time.Millisecond, "program U's total per-iteration compute")
-		csvPath   = flag.String("csv", "", "write the per-iteration series to this CSV file")
-		svgPath   = flag.String("svg", "", "render the per-iteration series to this SVG file")
-		tub       = flag.Bool("tub", false, "run the buddy-help on/off T_ub ablation instead")
-		onset     = flag.String("onset", "", "comma-separated importer process counts for the optimal-state-onset sweep")
-		syncImp   = flag.Bool("sync", false, "synchronize importer processes each iteration (models a real solver's halo exchange)")
-		ratio     = flag.String("ratio", "", "comma-separated tolerances for the tolerance-ratio sweep (buddy on/off saving curve)")
-		latsw     = flag.String("latsweep", "", "comma-separated one-way network latencies (e.g. 0,100us,1ms) for the latency ablation")
-		bench     = flag.String("bench", "", "run the allocation/framing benchmark suite and write the JSON report to this file (e.g. BENCH_PR2.json)")
-		overlap   = flag.String("overlap", "", "run the sync-vs-async export overlap comparison and write the JSON report to this file (e.g. BENCH_PR3.json)")
-		collcts   = flag.String("collectives", "", "run the collective-operation benchmark suite (rd vs ring, zero-alloc, guidelines, tuning) and write the JSON report to this file (e.g. BENCH_PR8.json)")
-		recovery  = flag.Bool("recovery", false, "run the crash-recovery comparison (checkpoint overhead + kill-and-restart) instead")
-		diagRpt   = flag.String("diag", "", "run the coupling-aware diagnosis suite (straggler attribution accuracy, trailer overhead, diag-off zero-alloc) and write the JSON report to this file (e.g. BENCH_PR9.json)")
-		ftRpt     = flag.String("ft", "", "run the fault-tolerant-collectives suite (detection/agreement/shrink latency, mid-agreement kill, shrunk zero-alloc) and write the JSON report to this file (e.g. BENCH_PR10.json)")
-		flightOut = flag.String("flight-out", "", "with -diag: also write a sample flight-recorder dump to this file (decode with `couplebench coupleflight`)")
-		obsvAddr  = flag.String("obsv-addr", "",
+		figure   = flag.String("figure", "all", "Figure 4 configuration: a, b, c, d or all")
+		gridN    = flag.Int("n", 256, "global array is n x n (paper: 1024)")
+		exports  = flag.Int("exports", 1001, "number of exports (paper: 1001)")
+		every    = flag.Int("every", 20, "one request per this many exports (paper: 20)")
+		tol      = flag.Float64("tol", 2.5, "match tolerance (paper: 2.5, REGL)")
+		buddy    = flag.Bool("buddy", true, "enable the buddy-help optimization")
+		runs     = flag.Int("runs", 1, "runs to average (paper: 6)")
+		fast     = flag.Duration("fast", 200*time.Microsecond, "per-export compute of the fast F processes")
+		slow     = flag.Duration("slow", time.Millisecond, "per-export compute of the slow process p_s")
+		uwork    = flag.Duration("uwork", 300*time.Millisecond, "program U's total per-iteration compute")
+		csvPath  = flag.String("csv", "", "write the per-iteration series to this CSV file")
+		svgPath  = flag.String("svg", "", "render the per-iteration series to this SVG file")
+		tub      = flag.Bool("tub", false, "run the buddy-help on/off T_ub ablation instead")
+		onset    = flag.String("onset", "", "comma-separated importer process counts for the optimal-state-onset sweep")
+		syncImp  = flag.Bool("sync", false, "synchronize importer processes each iteration (models a real solver's halo exchange)")
+		ratio    = flag.String("ratio", "", "comma-separated tolerances for the tolerance-ratio sweep (buddy on/off saving curve)")
+		latsw    = flag.String("latsweep", "", "comma-separated one-way network latencies (e.g. 0,100us,1ms) for the latency ablation")
+		obsvAddr = flag.String("obsv-addr", "",
 			"serve live introspection of the figure run on this address: /metrics, /trace, /statusz, /debug/pprof (enables span tracing)")
 		traceJSON = flag.String("trace-json", "",
 			"write the figure run's protocol span trace as Chrome trace JSON to this file (enables span tracing)")
 	)
 	flag.Parse()
 
-	if *bench != "" {
-		if err := runBench(*bench); err != nil {
-			fmt.Fprintln(os.Stderr, "couplebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *overlap != "" {
-		if err := runOverlap(*overlap); err != nil {
-			fmt.Fprintln(os.Stderr, "couplebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *collcts != "" {
-		if err := runCollectives(*collcts); err != nil {
-			fmt.Fprintln(os.Stderr, "couplebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *recovery {
-		if err := runRecovery(64); err != nil {
-			fmt.Fprintln(os.Stderr, "couplebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *diagRpt != "" {
-		if err := runDiagBench(*diagRpt, *flightOut); err != nil {
-			fmt.Fprintln(os.Stderr, "couplebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *ftRpt != "" {
-		if err := runFT(*ftRpt); err != nil {
-			fmt.Fprintln(os.Stderr, "couplebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if err := run(*figure, *gridN, *exports, *every, *tol, *buddy, *runs, *fast, *slow, *uwork, *csvPath, *svgPath, *tub, *onset, *syncImp, *ratio, *latsw, *obsvAddr, *traceJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "couplebench:", err)
 		os.Exit(1)
 	}
+}
+
+// runCoupleflight is the `couplebench coupleflight <dump.cpfl>...` decoder:
+// it reads each flight dump and writes one merged timeline to w, ordered by
+// the recorders' (virtual or wall) clock across programs and ranks.
+func runCoupleflight(w io.Writer, paths []string) error {
+	if len(paths) == 0 {
+		return fmt.Errorf("usage: couplebench coupleflight <dump.cpfl>...")
+	}
+	dumps := make([]*diag.Dump, 0, len(paths))
+	for _, path := range paths {
+		d, err := diag.ReadDump(path)
+		if err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		dumps = append(dumps, d)
+	}
+	return diag.WriteTimeline(w, dumps...)
 }
 
 func baseConfig(procs, gridN, exports, every int, tol float64, buddy bool, runs int, fast, slow, uwork time.Duration, syncImp bool) harness.Figure4Config {

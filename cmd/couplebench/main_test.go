@@ -4,10 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/obsv/diag"
 	"repro/internal/testutil"
+	"repro/internal/vclock"
 )
 
 // smoke exercises each couplebench mode at a tiny scale.
@@ -75,5 +78,55 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 	if err := run("", 64, 41, 20, 2.5, true, 1, 0, 0, 0, "", "", false, "", false, "", "zz", "", ""); err == nil {
 		t.Error("bad latsweep accepted")
+	}
+}
+
+// TestCoupleflightDecodesDumps writes two programs' flight rings the way a
+// crashing run does (Recorder.DumpFile) and decodes them through the
+// coupleflight subcommand into one merged, clock-ordered timeline.
+func TestCoupleflightDecodesDumps(t *testing.T) {
+	dir := t.TempDir()
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	recF, recU := diag.NewRecorder("F", 16, clk), diag.NewRecorder("U", 16, clk)
+	for _, step := range []struct {
+		rec *diag.Recorder
+		ev  diag.Event
+	}{
+		{recF, diag.Event{Kind: diag.KindExportStall, Rank: 1, A1: 1500, Note: "F.f>U.f"}},
+		{recU, diag.Event{Kind: diag.KindMark, Rank: 0, Note: "import late"}},
+		{recF, diag.Event{Kind: diag.KindPeerDown, Rank: 0}},
+		{recU, diag.Event{Kind: diag.KindPeerDown, Rank: 1}},
+	} {
+		step.rec.Record(step.ev)
+		clk.Advance(time.Millisecond)
+	}
+	var paths []string
+	for _, rec := range []*diag.Recorder{recU, recF} {
+		path, err := rec.DumpFile(dir, "test")
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	var out strings.Builder
+	if err := runCoupleflight(&out, paths); err != nil {
+		t.Fatal(err)
+	}
+	var lanes []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 2 && !strings.HasPrefix(line, "#") {
+			lanes = append(lanes, f[1]+" "+f[2])
+		}
+	}
+	want := []string{"F:1 export-stall", "U:0 mark", "F:0 peer-down", "U:1 peer-down"}
+	if strings.Join(lanes, ", ") != strings.Join(want, ", ") {
+		t.Errorf("merged timeline lanes %q, want %q\n%s", lanes, want, out.String())
+	}
+
+	if err := runCoupleflight(&out, nil); err == nil {
+		t.Error("no dump paths accepted")
+	}
+	if err := runCoupleflight(&out, []string{filepath.Join(dir, "missing.cpfl")}); err == nil {
+		t.Error("missing dump accepted")
 	}
 }

@@ -234,3 +234,59 @@ func TestQuickByteAccountingWithPool(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStoreSteadyStateZeroAlloc drives one connection's export pipeline at
+// steady state: a batch of offers the manager must buffer, then one request
+// just below the newest export, which decides inside OnRequest, matches the
+// export before it and retires everything older; TransferDone releases the
+// matched alias the way the framework does once the data is on the wire.
+// After warm-up every copy target comes from the pool and every Entry from
+// the freelist: Offer — the memcpy Figure 4 measures — performs no heap
+// allocation and no pool miss. The request half models the importer side of
+// the protocol, not the export hot path, and runs outside the measured func.
+func TestStoreSteadyStateZeroAlloc(t *testing.T) {
+	const batch = 32 // AllocsPerRun calls offer batch+1 times; under DefaultPoolDepth
+	data := make([]float64, 4096)
+	m, err := NewManager(Config{Policy: match.REGL, Tol: 2.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := 0.0
+	offer := func() {
+		res, err := m.Offer(ts+0.5, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Buffered {
+			t.Fatal("expected buffering")
+		}
+		ts++
+	}
+	request := func() {
+		rr, err := m.OnRequest(ts - 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range rr.Sends {
+			m.TransferDone(s.MatchTS)
+		}
+	}
+	for w := 0; w < 3; w++ {
+		for i := 0; i <= batch; i++ {
+			offer()
+		}
+		request()
+	}
+	before := m.Stats().Pool
+	for w := 0; w < 4; w++ {
+		// The matcher's export history grows by doubling, an allocation
+		// every few batches; AllocsPerRun's integer average drops it.
+		if avg := testing.AllocsPerRun(batch, offer); avg != 0 {
+			t.Errorf("steady-state Offer allocates %v times per export, want 0", avg)
+		}
+		request()
+	}
+	if misses := m.Stats().Pool.Misses - before.Misses; misses != 0 {
+		t.Errorf("steady state took %d pool misses over %d exports", misses, 4*(batch+1))
+	}
+}

@@ -42,6 +42,13 @@ const maxFreeBuffers = 32
 // comes close — a group's skew is bounded by rounds in flight.
 const defaultPendingCap = 4096
 
+// newPending pre-sizes the parked-frame list for the skew a healthy group
+// shows (a few rounds in flight per peer), so rank skew past what earlier
+// operations happened to reach does not grow it on the hot path.
+func newPending(size, pendingCap int) []transport.Message {
+	return make([]transport.Message, 0, min(4*size, pendingCap))
+}
+
 // Comm is one process's handle on its program's process group.
 type Comm struct {
 	d       *transport.Dispatcher
@@ -121,6 +128,7 @@ func New(d *transport.Dispatcher, program string, rank, size int) (*Comm, error)
 		table:      DefaultTable(),
 		hlen:       hdrLen,
 		pendingCap: defaultPendingCap,
+		pending:    newPending(size, defaultPendingCap),
 	}, nil
 }
 

@@ -734,7 +734,8 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 	nc := &Comm{
 		d: c.d, program: c.program, rank: newRank, size: len(newPeers),
 		timeout: c.timeout, table: c.table,
-		epoch: c.epoch + 1, peers: newPeers, pendingCap: c.pendingCap,
+		epoch: c.epoch + 1, peers: newPeers,
+		pendingCap: c.pendingCap, pending: newPending(len(newPeers), c.pendingCap),
 		reuse: c.reuse, free: c.free, fscratch: c.fscratch,
 		ins: c.ins, allReduceHist: c.allReduceHist,
 		hlen: c.hlen, board: c.board, flight: c.flight,

@@ -364,7 +364,8 @@ func TestRevokedOpsReturnErrRevoked(t *testing.T) {
 // shrunk-group result must equal the fault-free survivor-subset value.
 func TestShrinkAndContinue(t *testing.T) {
 	const n, dead = 5, 2
-	_, comms, disps := ftGroup(t, n, time.Second)
+	const timeout = time.Second
+	_, comms, disps := ftGroup(t, n, timeout)
 	all := []int{0, 1, 2, 3, 4}
 	survivors := []int{0, 1, 3, 4}
 	// survivor-subset sum of rank+1 values
@@ -387,6 +388,7 @@ func TestShrinkAndContinue(t *testing.T) {
 		}
 		// The interrupted step fails with a typed suspicion or a revocation
 		// raced from a faster-detecting survivor.
+		interrupted := time.Now()
 		_, err := c.AllReduceScalar(float64(c.Rank()+1), Sum)
 		if err == nil {
 			return errors.New("step with dead rank succeeded")
@@ -423,6 +425,12 @@ func TestShrinkAndContinue(t *testing.T) {
 		}
 		if got != wantSum {
 			return fmt.Errorf("shrunk allreduce = %v, want %v", got, wantSum)
+		}
+		// The documented recovery bound: detect -> revoke -> agree -> shrink
+		// -> first operation in under four receive deadlines on every
+		// survivor (the revoke flood spares them serial detection timeouts).
+		if el := time.Since(interrupted); el >= 4*timeout {
+			return fmt.Errorf("recovery took %v, want < %v", el, 4*timeout)
 		}
 		// Full op mix on the shrunk group.
 		if err := nc.Barrier(); err != nil {

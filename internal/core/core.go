@@ -35,32 +35,18 @@ import (
 // pieces, startup handshakes).
 const DefaultTimeout = 60 * time.Second
 
-// DefaultExportQueueDepth is the per-connection pipeline queue bound when
-// Options.ExportQueueDepth is zero: how many resolution/send jobs may be in
-// flight before Export blocks (backpressure).
+// DefaultExportQueueDepth is the per-connection pipeline queue bound: how
+// many resolution/send jobs may be in flight before Export blocks
+// (backpressure).
 const DefaultExportQueueDepth = 64
 
-// exportQueueDepth resolves Options.ExportQueueDepth.
-func (o *Options) exportQueueDepth() int {
-	if o.ExportQueueDepth > 0 {
-		return o.ExportQueueDepth
-	}
-	return DefaultExportQueueDepth
-}
-
-// exportWorkers resolves Options.ExportWorkers: min(4, GOMAXPROCS) unless
-// set, so small machines don't oversubscribe and big ones don't spawn a
-// goroutine per importer rank.
-func (o *Options) exportWorkers() int {
-	if o.ExportWorkers > 0 {
-		return o.ExportWorkers
-	}
+// exportWorkers bounds the concurrent per-destination-rank transfers of one
+// matched-data fan-out: min(4, GOMAXPROCS), so small machines don't
+// oversubscribe and big ones don't spawn a goroutine per importer rank.
+func exportWorkers() int {
 	w := runtime.GOMAXPROCS(0)
 	if w > 4 {
 		w = 4
-	}
-	if w < 1 {
-		w = 1
 	}
 	return w
 }
@@ -84,22 +70,6 @@ type Options struct {
 	Coalesce *transport.CoalesceConfig
 	// Timeout bounds blocking waits; 0 means DefaultTimeout.
 	Timeout time.Duration
-	// SyncDataPlane disables the asynchronous export data plane: Export then
-	// performs responses, packing, transport sends and transfer accounting
-	// inline on the application goroutine, serially per connection — the
-	// pre-overlap behaviour. It exists as the measured baseline for the
-	// overlap benchmark and as an escape hatch; the default (false) queues
-	// that work to per-connection sender goroutines so Export returns to the
-	// compute loop immediately.
-	SyncDataPlane bool
-	// ExportQueueDepth bounds each export connection's pipeline queue (jobs
-	// in flight before Export blocks for backpressure). 0 means
-	// DefaultExportQueueDepth.
-	ExportQueueDepth int
-	// ExportWorkers bounds the concurrent per-destination-rank transfers of
-	// one matched-data fan-out. 0 means DefaultExportWorkers (min(4,
-	// GOMAXPROCS)); 1 keeps the fan-out serial on the sender goroutine.
-	ExportWorkers int
 	// Obsv supplies the runtime observability layer (metrics registry, span
 	// tracer, /statusz sections). nil means a private registry-only observer:
 	// the instruments are always the single counting path, tracing is off,
@@ -143,9 +113,6 @@ type Options struct {
 	// FlightDir is where flight-recorder dumps are written ("" = the OS temp
 	// directory). Only meaningful with Diag.
 	FlightDir string
-	// FlightEvents sizes each program's flight-recorder ring (0 =
-	// diag.DefaultEvents). Only meaningful with Diag.
-	FlightEvents int
 }
 
 // Framework hosts one coupled run — either every program of the

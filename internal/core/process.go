@@ -24,10 +24,10 @@ import (
 // though not at the same time.
 //
 // Each export connection runs an independent pipeline (exportConn): its own
-// lock shard, its own bounded job queue, and — unless Options.SyncDataPlane —
-// its own sender goroutine, so Export returns to the application's compute
-// loop as soon as the buffering decision is made, and two regions' pipelines
-// never contend on a shared lock.
+// lock shard, its own bounded job queue and its own sender goroutine, so
+// Export returns to the application's compute loop as soon as the buffering
+// decision is made, and two regions' pipelines never contend on a shared
+// lock.
 type Process struct {
 	prog *Program
 	rank int
@@ -45,13 +45,6 @@ type Process struct {
 	tracer *obsv.Tracer
 	ring   *obsv.Ring
 
-	// syncPlane selects the synchronous baseline data plane: Export performs
-	// responses, packing, sends and transfer accounting inline under the
-	// connection lock (the pre-async behaviour the overlap benchmark
-	// measures against).
-	syncPlane  bool
-	queueDepth int
-	workers    int
 	// pool is the process-wide buffer pool shared by every connection's
 	// manager and by the data-plane pack scratch buffers.
 	pool *buffer.Pool
@@ -297,9 +290,6 @@ func newProcess(p *Program, rank int, d *transport.Dispatcher) (*Process, error)
 		rank:         rank,
 		d:            d,
 		comm:         comm,
-		syncPlane:    p.fw.opts.SyncDataPlane,
-		queueDepth:   p.fw.opts.exportQueueDepth(),
-		workers:      p.fw.opts.exportWorkers(),
 		exps:         make(map[string]*exportRegion),
 		imps:         make(map[string]*importState),
 		expConnByKey: make(map[string]*exportConn),
@@ -458,8 +448,8 @@ func (p *Process) start() {
 				key:     key,
 				mgr:     mgr,
 				block:   expReg.block,
-				jobs:    make(chan exportJob, p.queueDepth),
-				permits: make(chan struct{}, p.queueDepth),
+				jobs:    make(chan exportJob, DefaultExportQueueDepth),
+				permits: make(chan struct{}, DefaultExportQueueDepth),
 
 				stall:     reg.Counter("core.export.stall.ns", connLabels...),
 				queued:    reg.Counter("core.pipeline.jobs", connLabels...),
@@ -485,9 +475,7 @@ func (p *Process) start() {
 			}, connLabels...)
 			expReg.conns = append(expReg.conns, ec)
 			p.expConnByKey[key] = ec
-			if !p.syncPlane {
-				go p.sender(ec)
-			}
+			go p.sender(ec)
 		}
 	}
 	for _, conn := range fw.cfg.Connections {
@@ -904,15 +892,10 @@ func (p *Process) acquirePermit(ec *exportConn) bool {
 
 func (p *Process) releasePermit(ec *exportConn) { <-ec.permits }
 
-// dispatchLocked hands a job to the connection's data plane. Async: push to
-// the sender's queue (never blocks — the caller holds a permit). Sync
-// baseline: run it inline, still under the lock. Called with ec.mu held.
+// dispatchLocked hands a job to the connection's data plane: push to the
+// sender's queue (never blocks — the caller holds a permit). Called with
+// ec.mu held.
 func (p *Process) dispatchLocked(ec *exportConn, j exportJob) {
-	if p.syncPlane {
-		p.runJobSync(ec, j)
-		p.releasePermit(ec)
-		return
-	}
 	ec.jobs <- j
 	ec.queued.Inc()
 	ec.peakDepth.SetMax(int64(len(ec.jobs)))
@@ -964,53 +947,16 @@ func (p *Process) runJobAsync(ec *exportConn, j exportJob) {
 	ec.mu.Unlock()
 }
 
-// runJobSync is the synchronous baseline: responses, serial pack+send and
-// transfer accounting inline on the caller's goroutine, with ec.mu held.
-func (p *Process) runJobSync(ec *exportConn, j exportJob) {
-	for _, r := range j.resps {
-		p.sendResponse(ec, r)
-	}
-	for si, s := range j.sends {
-		g := decomp.Grid{Block: ec.block, Data: s.Data}
-		var flow uint64
-		if si < len(j.sendFlows) {
-			flow = j.sendFlows[si]
-		}
-		for _, tr := range ec.outgoing {
-			vals, err := g.Pack(tr.Sub)
-			if err != nil {
-				p.prog.fail(err)
-				return
-			}
-			ec.dataSends.Inc()
-			err = p.d.Send(transport.Message{
-				Kind:    transport.KindData,
-				Dst:     transport.Proc(ec.cc.Import.Program, tr.To),
-				Tag:     ec.key,
-				Trace:   flow,
-				Payload: encodeData(s.ReqIndex, s.MatchTS, tr.Sub, vals),
-			})
-			if err != nil {
-				p.prog.fail(err)
-				return
-			}
-		}
-	}
-	for _, s := range j.sends {
-		ec.mgr.TransferDone(s.MatchTS)
-	}
-}
-
 // fanOut transfers matched data objects to the importer ranks along this
 // rank's share of the redistribution plan, one worker per destination rank
-// up to Options.ExportWorkers, each packing into scratch recycled through
+// up to exportWorkers(), each packing into scratch recycled through
 // the process's buffer pool.
 func (p *Process) fanOut(ec *exportConn, sends []buffer.SendItem, flows []uint64) {
 	n := len(ec.outgoing)
 	if n == 0 {
 		return
 	}
-	workers := p.workers
+	workers := exportWorkers()
 	if workers > n {
 		workers = n
 	}
@@ -1173,8 +1119,7 @@ func (p *Process) recordExport(ec *exportConn, start int64, j *exportJob) {
 
 // Flush is the drain barrier of the asynchronous data plane: it blocks until
 // every resolution and data transfer queued so far on the region's export
-// pipelines has been sent and its TransferDone accounting applied. With the
-// synchronous plane it only checks for abort (nothing is ever queued).
+// pipelines has been sent and its TransferDone accounting applied.
 func (p *Process) Flush(region string) error {
 	if err := p.checkAbort(); err != nil {
 		return err
@@ -1183,7 +1128,7 @@ func (p *Process) Flush(region string) error {
 		return fmt.Errorf("core: %s: flush of undefined region %q", p.addr(), region)
 	}
 	st, connected := p.exps[region]
-	if !connected || p.syncPlane {
+	if !connected {
 		return nil
 	}
 	drains := make([]chan struct{}, 0, len(st.conns))
@@ -1238,7 +1183,7 @@ func (p *Process) FinishRegion(region string) error {
 			p.releasePermit(ec)
 			return err
 		}
-		if p.syncPlane || len(res) > 0 || len(sends) > 0 {
+		if len(res) > 0 || len(sends) > 0 {
 			job := jobFromOffer(res, sends)
 			p.attachFlows(ec, &job)
 			p.dispatchLocked(ec, job)

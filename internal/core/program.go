@@ -50,7 +50,7 @@ func newProgram(f *Framework, pc config.Program) (*Program, error) {
 	}
 	if f.opts.Diag {
 		p.board = diag.NewBoard(pc.Name, pc.Procs)
-		p.flight = diag.NewRecorder(pc.Name, f.opts.FlightEvents, f.opts.Clock)
+		p.flight = diag.NewRecorder(pc.Name, diag.DefaultEvents, f.opts.Clock)
 		p.flight.SetRegistry(f.obs.Registry)
 	}
 	if ro := f.opts.Recovery; ro != nil {

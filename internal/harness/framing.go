@@ -1,9 +1,6 @@
 package harness
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // FramingComparison is the allocation-and-framing experiment: one Figure-4
 // configuration run twice over the frame-counting transport — once with
@@ -81,7 +78,3 @@ func RunFramingComparison(cfg Figure4Config) (*FramingComparison, error) {
 	}
 	return &FramingComparison{Baseline: baseline, Coalesced: coalesced}, nil
 }
-
-// T_ub convenience: UnnecessaryTime of the slow process, the quantity the
-// bench harness reports alongside the framing numbers.
-func (r *Figure4Result) TUb() time.Duration { return r.SlowStats.UnnecessaryTime }

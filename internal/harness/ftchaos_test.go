@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -9,6 +10,77 @@ import (
 	"repro/internal/testutil"
 	"repro/internal/transport"
 )
+
+// exactContrib fills a deterministic per-rank vector of dyadic rationals
+// (multiples of 1/8 with small magnitude); their sums are exact in float64
+// under any combining order, so different reduction schedules must produce
+// bit-identical results.
+func exactContrib(rank, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = float64((rank*131+i*17)%257-128) / 8.0
+	}
+	return v
+}
+
+// ftGroup is an in-memory collective group that keeps the per-rank
+// dispatchers so a test can kill a rank by closing its endpoint.
+type ftGroup struct {
+	net   transport.Network
+	comms []*collective.Comm
+	disps []*transport.Dispatcher
+}
+
+// newFTGroupNet builds the group over an arbitrary substrate (here a
+// delay-injecting fault network). Closing the group closes net.
+func newFTGroupNet(net transport.Network, size int, timeout time.Duration) (*ftGroup, error) {
+	g := &ftGroup{
+		net:   net,
+		comms: make([]*collective.Comm, size),
+		disps: make([]*transport.Dispatcher, size),
+	}
+	for r := 0; r < size; r++ {
+		ep, err := g.net.Register(transport.Proc("ft", r))
+		if err != nil {
+			g.net.Close()
+			return nil, err
+		}
+		g.disps[r] = transport.NewDispatcher(ep)
+		c, err := collective.New(g.disps[r], "ft", r, size)
+		if err != nil {
+			g.net.Close()
+			return nil, err
+		}
+		c.SetTimeout(timeout)
+		g.comms[r] = c
+	}
+	return g, nil
+}
+
+func (g *ftGroup) close() { g.net.Close() }
+
+// run executes fn once per rank concurrently and returns the first error.
+func (g *ftGroup) run(fn func(c *collective.Comm) error) error {
+	errs := make(chan error, len(g.comms))
+	for _, c := range g.comms {
+		go func(c *collective.Comm) { errs <- fn(c) }(c)
+	}
+	var first error
+	for range g.comms {
+		if err := <-errs; err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// isFault reports whether err is one of the typed faults a collective may
+// return once a rank is dead (per-rank failure, revocation, or — for a rank
+// that times out before any revoke reaches it — a bare deadline).
+func isFault(err error) bool {
+	var rf *collective.RankFailedError
+	return errors.As(err, &rf) || errors.Is(err, collective.ErrRevoked) || errors.Is(err, transport.ErrTimeout)
+}
 
 // sumContrib is the exact element-wise sum of exactContrib over the given
 // ranks — the unique correct AllReduce(Sum) answer for that group.
@@ -92,7 +164,7 @@ func TestChaosKillRank(t *testing.T) {
 
 			agreed := make([][]int, ranks)
 			start := time.Now()
-			err = g.run(-1, func(c *collective.Comm) error {
+			err = g.run(func(c *collective.Comm) error {
 				r := c.Rank()
 				for k := 0; k < 2; k++ {
 					got, err := c.AllReduceWith(collective.Ring, exactContrib(r, vecLen), collective.Sum)

@@ -102,6 +102,10 @@ func TestFigure4Observability(t *testing.T) {
 	if res.Matched != cfg.Exports/cfg.MatchEvery {
 		t.Errorf("matched %d of %d requests", res.Matched, cfg.Exports/cfg.MatchEvery)
 	}
+	// Every matched version went through the sender goroutine's queue.
+	if pl := res.SlowPipeline; pl.Jobs == 0 || pl.DataSends == 0 {
+		t.Errorf("data-plane pipeline counters empty: %+v", pl)
+	}
 
 	get := func(path string) string {
 		resp, err := http.Get("http://" + srv.Addr() + path)

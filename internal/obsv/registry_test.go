@@ -59,6 +59,35 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	}
 }
 
+// TestUntracedInstrumentsZeroAlloc prices the default production path of the
+// data plane: the per-job instrument sequence of core's dispatchLocked and
+// sender (counters, a peak gauge, and a span record on the nil ring a
+// disabled tracer hands out) must not allocate.
+func TestUntracedInstrumentsZeroAlloc(t *testing.T) {
+	reg := NewRegistry()
+	l := L("conn", "F.f>U.f")
+	stall := reg.Counter("core.export.stall.ns", l)
+	queued := reg.Counter("core.pipeline.jobs", l)
+	sends := reg.Counter("core.data.sends", l)
+	flushes := reg.Counter("core.pipeline.flushes", l)
+	depth := reg.Gauge("core.pipeline.peak.depth", l)
+	var tracer *Tracer
+	ring := tracer.Ring("F", 0)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		stall.Add(uint64(i & 1))
+		queued.Inc()
+		depth.SetMax(int64(i & 7))
+		sends.Inc()
+		flushes.Inc()
+		ring.Record(Span{Name: "send", TS: tracer.Now(), Dur: 1, Flow: uint64(i + 1), Arg: int64(i)})
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("untraced instrument sequence allocates %.1f times per job, want 0", allocs)
+	}
+}
+
 func TestHistogramBuckets(t *testing.T) {
 	h := NewHistogram([]int64{10, 100, 1000})
 	for _, v := range []int64{5, 50, 500, 5000} {
