@@ -2,27 +2,22 @@ package collective
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"os"
 )
 
-// Algo names a collective algorithm. Every public collective has a *With
-// variant accepting an Algo so tests and the tuning harness can force a
-// specific implementation; Auto consults the Comm's dispatch Table. Forcing
-// an algorithm an operation does not implement falls back to its default.
+// Algo names a collective algorithm: the label an operation's latency is
+// observed under (see Instruments). No call takes an Algo — the Comm's
+// dispatch Table is the only selector.
 type Algo uint8
 
 const (
-	// Auto picks by the dispatch table (group size, vector bytes).
-	Auto Algo = iota
 	// RecursiveDoubling is the latency-optimal log2(n)-round pairwise
 	// exchange (AllReduce small vectors, Scan).
-	RecursiveDoubling
+	RecursiveDoubling Algo = iota
 	// Ring is the bandwidth-optimal ring: ReduceScatter+AllGather for
 	// AllReduce (Rabenseifner), block rotation for AllGather.
 	Ring
-	// Binomial is the binomial tree (Bcast, Reduce, Gather, Scatter).
+	// Binomial is the binomial tree (Bcast, Reduce).
 	Binomial
 	// BinomialSeg is the segmented, pipelined binomial tree (large Bcast).
 	BinomialSeg
@@ -42,7 +37,7 @@ const (
 )
 
 var algoNames = [numAlgos]string{
-	"auto", "rd", "ring", "binomial", "binomial-seg", "linear", "pairwise", "dissem", "composed",
+	"rd", "ring", "binomial", "binomial-seg", "linear", "pairwise", "dissem", "composed",
 }
 
 // String returns the short metric-label name ("rd", "ring", ...).
@@ -106,68 +101,37 @@ func matchHdr(payload []byte, h uint64) bool {
 // on values identical on every rank — the group size and, for the symmetric
 // vector operations, the vector byte count — so all ranks independently pick
 // the same algorithm. Thresholds are in bytes of the local vector (8 bytes
-// per float64) or in group size (ranks).
+// per float64) or in group size (ranks). Forcing an algorithm is a table
+// with a degenerate threshold: 0 always takes the path a threshold guards,
+// math.MaxInt never does.
 type Table struct {
 	// AllReduceRingBytes: vectors at least this large use the ring
 	// (Rabenseifner) AllReduce; smaller ones use recursive doubling.
-	AllReduceRingBytes int `json:"allreduce_ring_bytes"`
+	AllReduceRingBytes int
 	// ReduceScatterRingBytes: inputs at least this large use the ring
 	// reduce-scatter; smaller ones the Reduce+Scatter composition.
-	ReduceScatterRingBytes int `json:"reducescatter_ring_bytes"`
+	ReduceScatterRingBytes int
 	// BcastSegBytes: payloads at least this large use the segmented,
 	// pipelined binomial broadcast with BcastSegSize-byte segments.
-	BcastSegBytes int `json:"bcast_seg_bytes"`
-	BcastSegSize  int `json:"bcast_seg_size"`
-	// GatherBinomialSize: groups at least this large use the binomial tree
-	// for Gather and Scatter instead of the linear root loop. The tree pays
-	// log(P) forwarding hops to spare the root its O(P) per-message receive
-	// cost; on the in-process transport a receive is a cheap queue pop, so
-	// the measured crossover sits far higher than LogP intuition suggests —
-	// the default keeps the linear loop for every practical group and leaves
-	// the tree to forcing, tuning, or overhead-bound transports.
-	GatherBinomialSize int `json:"gather_binomial_size"`
+	BcastSegBytes int
+	BcastSegSize  int
 	// AllGatherRingSize: groups at least this large use the ring AllGather.
-	AllGatherRingSize int `json:"allgather_ring_size"`
+	AllGatherRingSize int
 	// AllToAllPairwiseSize: groups at least this large use pairwise exchange.
-	AllToAllPairwiseSize int `json:"alltoall_pairwise_size"`
+	AllToAllPairwiseSize int
 }
 
-// DefaultTable returns the static thresholds. They are conservative
-// crossovers for the in-memory transport; Tune measures the real ones on the
-// live transport and SetTable installs them.
+// DefaultTable returns the static thresholds: conservative crossovers for
+// the in-memory transport.
 func DefaultTable() *Table {
 	return &Table{
 		AllReduceRingBytes:     32 << 10,
 		ReduceScatterRingBytes: 32 << 10,
 		BcastSegBytes:          256 << 10,
 		BcastSegSize:           64 << 10,
-		GatherBinomialSize:     64,
 		AllGatherRingSize:      5,
 		AllToAllPairwiseSize:   4,
 	}
-}
-
-// Save writes the table as JSON (atomically via a temp file would be
-// overkill for a tuning artifact; plain write).
-func (t *Table) Save(path string) error {
-	b, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return fmt.Errorf("collective: encode table: %w", err)
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// LoadTable reads a table previously written by Save.
-func LoadTable(path string) (*Table, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	t := DefaultTable()
-	if err := json.Unmarshal(b, t); err != nil {
-		return nil, fmt.Errorf("collective: decode table %s: %w", path, err)
-	}
-	return t, nil
 }
 
 // maxRingRanks bounds ring round numbers to the header's uint16 round field
@@ -186,13 +150,6 @@ func (t *Table) reduceScatterAlgo(size, bytes int) Algo {
 		return Ring
 	}
 	return Composed
-}
-
-func (t *Table) gatherAlgo(size int) Algo {
-	if size >= t.GatherBinomialSize {
-		return Binomial
-	}
-	return Linear
 }
 
 func (t *Table) allGatherAlgo(size int) Algo {

@@ -5,12 +5,43 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/obsv"
 )
+
+// forcedTable is how a test forces an algorithm: under it every operation
+// that implements a runs it whatever the input (a's thresholds are 0) and
+// every other operation takes its reference path (all other thresholds are
+// math.MaxInt: recursive doubling, Composed, Linear, single-segment
+// Binomial). BcastSegSize stays at its default.
+func forcedTable(a Algo) *Table {
+	t := &Table{
+		AllReduceRingBytes:     math.MaxInt,
+		ReduceScatterRingBytes: math.MaxInt,
+		BcastSegBytes:          math.MaxInt,
+		BcastSegSize:           DefaultTable().BcastSegSize,
+		AllGatherRingSize:      math.MaxInt,
+		AllToAllPairwiseSize:   math.MaxInt,
+	}
+	switch a {
+	case Ring:
+		t.AllReduceRingBytes, t.ReduceScatterRingBytes, t.AllGatherRingSize = 0, 0, 0
+	case BinomialSeg:
+		t.BcastSegBytes = 0
+	case Pairwise:
+		t.AllToAllPairwiseSize = 0
+	}
+	return t
+}
+
+// force installs forcedTable(a) and returns c, so a forced call reads
+// c.force(Ring).AllReduce(...). Every rank of a group must force at the same
+// point of its sequence, as with any SetTable.
+func (c *Comm) force(a Algo) *Comm {
+	c.SetTable(forcedTable(a))
+	return c
+}
 
 // exactVec returns a vector of dyadic rationals whose sums stay exact in
 // float64 under any combining order, so sum/max/min must be bit-identical
@@ -68,11 +99,11 @@ func TestAllReduceAlgosBitIdentical(t *testing.T) {
 						want := oracleFold(contribs, tc.op)
 						runGroup(t, n, func(c *Comm) error {
 							c.SetBufferReuse(reuse)
-							rd, err := c.AllReduceWith(RecursiveDoubling, contribs[c.Rank()], tc.op)
+							rd, err := c.force(RecursiveDoubling).AllReduce(contribs[c.Rank()], tc.op)
 							if err != nil {
 								return err
 							}
-							ring, err := c.AllReduceWith(Ring, contribs[c.Rank()], tc.op)
+							ring, err := c.force(Ring).AllReduce(contribs[c.Rank()], tc.op)
 							if err != nil {
 								return err
 							}
@@ -106,11 +137,11 @@ func TestReduceScatterRingMatchesComposed(t *testing.T) {
 				full := oracleFold(contribs, Sum)
 				runGroup(t, n, func(c *Comm) error {
 					want := full[c.Rank()*per : (c.Rank()+1)*per]
-					ring, err := c.ReduceScatterWith(Ring, contribs[c.Rank()], Sum)
+					ring, err := c.force(Ring).ReduceScatter(contribs[c.Rank()], Sum)
 					if err != nil {
 						return err
 					}
-					composed, err := c.ReduceScatterWith(Composed, contribs[c.Rank()], Sum)
+					composed, err := c.force(Composed).ReduceScatter(contribs[c.Rank()], Sum)
 					if err != nil {
 						return err
 					}
@@ -140,21 +171,21 @@ func TestBcastSegmented(t *testing.T) {
 				rng.Read(want)
 				root := n / 2
 				runGroup(t, n, func(c *Comm) error {
-					tab := *DefaultTable()
-					tab.BcastSegSize = 64
-					c.SetTable(&tab)
+					seg := forcedTable(BinomialSeg)
+					seg.BcastSegSize = 64
+					c.SetTable(seg)
 					var in []byte
 					if c.Rank() == root {
 						in = want
 					}
-					out, err := c.BcastWith(BinomialSeg, root, in)
+					out, err := c.Bcast(root, in)
 					if err != nil {
 						return err
 					}
 					if !bytes.Equal(out, want) {
 						return fmt.Errorf("rank %d: got %d bytes, want %d", c.Rank(), len(out), len(want))
 					}
-					plain, err := c.BcastWith(Binomial, root, in)
+					plain, err := c.force(Binomial).Bcast(root, in)
 					if err != nil {
 						return err
 					}
@@ -165,62 +196,6 @@ func TestBcastSegmented(t *testing.T) {
 				})
 			})
 		}
-	}
-}
-
-// TestGatherScatterTreeMatchesLinear checks the binomial tree gather and
-// scatter against the linear reference for random (including empty) parts,
-// every root, and non-power-of-two sizes.
-func TestGatherScatterTreeMatchesLinear(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 6, 8, 13} {
-		n := n
-		t.Run(fmt.Sprint(n), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(n)))
-			parts := make([][]byte, n)
-			for r := range parts {
-				parts[r] = make([]byte, rng.Intn(40))
-				rng.Read(parts[r])
-			}
-			for root := 0; root < n; root += 2 {
-				root := root
-				runGroup(t, n, func(c *Comm) error {
-					tree, err := c.GatherWith(Binomial, root, parts[c.Rank()])
-					if err != nil {
-						return err
-					}
-					lin, err := c.GatherWith(Linear, root, parts[c.Rank()])
-					if err != nil {
-						return err
-					}
-					if c.Rank() == root {
-						for r := 0; r < n; r++ {
-							if !bytes.Equal(tree[r], parts[r]) || !bytes.Equal(lin[r], parts[r]) {
-								return fmt.Errorf("root %d slot %d mismatch", root, r)
-							}
-						}
-					} else if tree != nil || lin != nil {
-						return fmt.Errorf("non-root got non-nil")
-					}
-
-					var in [][]byte
-					if c.Rank() == root {
-						in = parts
-					}
-					st, err := c.ScatterWith(Binomial, root, in)
-					if err != nil {
-						return err
-					}
-					sl, err := c.ScatterWith(Linear, root, in)
-					if err != nil {
-						return err
-					}
-					if !bytes.Equal(st, parts[c.Rank()]) || !bytes.Equal(sl, parts[c.Rank()]) {
-						return fmt.Errorf("rank %d scatter mismatch", c.Rank())
-					}
-					return nil
-				})
-			}
-		})
 	}
 }
 
@@ -242,11 +217,11 @@ func TestAllGatherAllToAllAlgos(t *testing.T) {
 				rng.Read(own[r])
 			}
 			runGroup(t, n, func(c *Comm) error {
-				ring, err := c.AllGatherWith(Ring, own[c.Rank()])
+				ring, err := c.force(Ring).AllGather(own[c.Rank()])
 				if err != nil {
 					return err
 				}
-				lin, err := c.AllGatherWith(Linear, own[c.Rank()])
+				lin, err := c.force(Linear).AllGather(own[c.Rank()])
 				if err != nil {
 					return err
 				}
@@ -255,11 +230,11 @@ func TestAllGatherAllToAllAlgos(t *testing.T) {
 						return fmt.Errorf("rank %d allgather slot %d mismatch", c.Rank(), r)
 					}
 				}
-				pw, err := c.AllToAllWith(Pairwise, parts[c.Rank()])
+				pw, err := c.force(Pairwise).AllToAll(parts[c.Rank()])
 				if err != nil {
 					return err
 				}
-				ll, err := c.AllToAllWith(Linear, parts[c.Rank()])
+				ll, err := c.force(Linear).AllToAll(parts[c.Rank()])
 				if err != nil {
 					return err
 				}
@@ -344,83 +319,67 @@ func TestNoAliasContracts(t *testing.T) {
 	})
 }
 
-// TestDispatchByTable verifies Auto dispatch switches algorithms at the
-// table thresholds, observed through the per-op/per-algo instruments.
+// TestDispatchByTable puts one input on each side of every Table threshold
+// and reads the choice back through the per-(op, algo) histogram counts, so
+// the instrument label is proven to be the algorithm that ran — on every
+// rank, including Bcast's receivers, which learn it from segment 0. The two
+// size thresholds take two group sizes; the byte thresholds two inputs.
 func TestDispatchByTable(t *testing.T) {
-	const n = 4
-	reg := obsv.NewRegistry()
-	runGroup(t, n, func(c *Comm) error {
-		c.SetInstruments(NewInstruments(reg, "G"))
-		tab := *DefaultTable()
-		tab.AllReduceRingBytes = 8 * 16 // vectors >= 16 floats go ring
-		c.SetTable(&tab)
-		small := make([]float64, 4)
-		big := make([]float64, 64)
-		if _, err := c.AllReduce(small, Sum); err != nil {
+	tab := Table{
+		AllReduceRingBytes:     8 * 16,
+		ReduceScatterRingBytes: 8 * 24,
+		BcastSegBytes:          128,
+		BcastSegSize:           256,
+		AllGatherRingSize:      4,
+		AllToAllPairwiseSize:   4,
+	}
+	for _, n := range []int{3, 4} {
+		reg := obsv.NewRegistry()
+		runGroup(t, n, func(c *Comm) error {
+			c.SetInstruments(NewInstruments(reg, "G"))
+			// One table shared by the ranks: a Comm only reads its table.
+			c.SetTable(&tab)
+			for _, floats := range []int{4, 64} { // 32 B rd, 512 B ring
+				if _, err := c.AllReduce(make([]float64, floats), Sum); err != nil {
+					return err
+				}
+			}
+			for _, floats := range []int{12, 48} { // 96 B composed, 384 B ring
+				if _, err := c.ReduceScatter(make([]float64, floats), Sum); err != nil {
+					return err
+				}
+			}
+			// Below BcastSegBytes; past it but within one BcastSegSize
+			// segment; past both.
+			for _, size := range []int{64, 200, 1000} {
+				if _, err := c.Bcast(1, make([]byte, size)); err != nil {
+					return err
+				}
+			}
+			if _, err := c.AllGather([]byte{1}); err != nil {
+				return err
+			}
+			_, err := c.AllToAll(make([][]byte, n))
 			return err
+		})
+		want := map[string]uint64{
+			"allreduce.rd": 1, "allreduce.ring": 1,
+			"reducescatter.composed": 1, "reducescatter.ring": 1,
+			"reduce.binomial": 1, "scatter.linear": 1, // inside the Composed ReduceScatter
+			"bcast.binomial": 2, "bcast.binomial-seg": 1,
 		}
-		if _, err := c.AllReduce(big, Sum); err != nil {
-			return err
+		if n < 4 {
+			want["allgather.linear"], want["alltoall.linear"] = 1, 1
+		} else {
+			want["allgather.ring"], want["alltoall.pairwise"] = 1, 1
 		}
-		return nil
-	})
-	rd := reg.Histogram("collective.allreduce.rd.ns", obsv.L("program", "G")).Count()
-	ring := reg.Histogram("collective.allreduce.ring.ns", obsv.L("program", "G")).Count()
-	if rd != n || ring != n {
-		t.Fatalf("instrument counts rd=%d ring=%d, want %d each", rd, ring, n)
-	}
-}
-
-// TestTune smoke-runs the crossover measurement on a small ladder and
-// checks every rank installs the identical table.
-func TestTune(t *testing.T) {
-	const n = 4
-	tables := make([]*Table, n)
-	runGroup(t, n, func(c *Comm) error {
-		tab, err := c.Tune(TuneConfig{MinBytes: 256, MaxBytes: 2048, Reps: 2})
-		if err != nil {
-			return err
+		for _, p := range opAlgoPairs {
+			name := opTags[p.op] + "." + p.algo.String()
+			got := reg.Histogram("collective."+name+".ns", obsv.L("program", "G")).Count()
+			if got != want[name]*uint64(n) {
+				t.Errorf("n=%d %s: %d observations, want %d", n, name, got, want[name]*uint64(n))
+			}
 		}
-		tables[c.Rank()] = tab
-		// The tuned Comm must still reduce correctly.
-		v, err := c.AllReduceScalar(1, Sum)
-		if err != nil {
-			return err
-		}
-		if v != n {
-			return fmt.Errorf("post-tune allreduce: %v", v)
-		}
-		return nil
-	})
-	for r := 1; r < n; r++ {
-		if !reflect.DeepEqual(tables[0], tables[r]) {
-			t.Fatalf("rank %d table %+v differs from rank 0 %+v", r, tables[r], tables[0])
-		}
-	}
-	if tables[0].AllReduceRingBytes <= 0 {
-		t.Fatalf("tuned threshold %d", tables[0].AllReduceRingBytes)
-	}
-}
-
-// TestTableSaveLoad round-trips the dispatch table through its JSON
-// persistence.
-func TestTableSaveLoad(t *testing.T) {
-	tab := DefaultTable()
-	tab.AllReduceRingBytes = 12345
-	tab.BcastSegSize = 777
-	path := filepath.Join(t.TempDir(), "table.json")
-	if err := tab.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadTable(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tab, got) {
-		t.Fatalf("round trip: %+v != %+v", got, tab)
-	}
-	if _, err := LoadTable(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("missing file loaded")
 	}
 }
 
@@ -436,28 +395,28 @@ func TestMixedSequenceForcedAlgos(t *testing.T) {
 				return err
 			}
 			vec := []float64{float64(c.Rank()), float64(i), 1}
-			ring, err := c.AllReduceWith(Ring, vec, Sum)
+			ring, err := c.force(Ring).AllReduce(vec, Sum)
 			if err != nil {
 				return err
 			}
 			if ring[2] != n {
 				return fmt.Errorf("iter %d: ring allreduce %v", i, ring)
 			}
-			out, err := c.BcastWith(BinomialSeg, i%n, bytes.Repeat([]byte{byte(i)}, 100))
+			out, err := c.force(BinomialSeg).Bcast(i%n, bytes.Repeat([]byte{byte(i)}, 100))
 			if err != nil {
 				return err
 			}
 			if len(out) != 100 || out[99] != byte(i) {
 				return fmt.Errorf("iter %d: bcast %d bytes", i, len(out))
 			}
-			g, err := c.GatherWith(Binomial, i%n, []byte{byte(c.Rank())})
+			g, err := c.Gather(i%n, []byte{byte(c.Rank())})
 			if err != nil {
 				return err
 			}
 			if c.Rank() == i%n && len(g) != n {
 				return fmt.Errorf("iter %d: gather %d slots", i, len(g))
 			}
-			rs, err := c.ReduceScatterWith(Ring, make([]float64, n), Sum)
+			rs, err := c.force(Ring).ReduceScatter(make([]float64, n), Sum)
 			if err != nil {
 				return err
 			}

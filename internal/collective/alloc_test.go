@@ -128,9 +128,12 @@ func TestAllReduceSteadyStateZeroAlloc(t *testing.T) {
 				vecs[r] = make([]float64, vecLen)
 			}
 			g := newAllocGroup(t, ranks, func(c *Comm) error {
-				return c.AllReduceInPlaceWith(algo, vecs[c.Rank()], Max)
+				return c.AllReduceInPlace(vecs[c.Rank()], Max)
 			})
 			defer g.close()
+			for _, c := range g.comms {
+				c.force(algo)
+			}
 			// Warm up pools, scratch, pending capacity and mailbox seq maps.
 			for i := 0; i < 16; i++ {
 				g.round(t)
@@ -167,12 +170,12 @@ func TestDiagOnSteadyStateZeroAlloc(t *testing.T) {
 		vecs[r] = make([]float64, vecLen)
 	}
 	g := newAllocGroup(t, ranks, func(c *Comm) error {
-		return c.AllReduceInPlaceWith(RecursiveDoubling, vecs[c.Rank()], Max)
+		return c.AllReduceInPlace(vecs[c.Rank()], Max)
 	})
 	defer g.close()
 	b := diag.NewBoard("A", ranks)
 	for _, c := range g.comms {
-		c.SetDiag(b, nil)
+		c.force(RecursiveDoubling).SetDiag(b, nil)
 	}
 	for i := 0; i < 16; i++ {
 		g.round(t)

@@ -21,29 +21,18 @@ const maxBcastSegs = 60000
 // is self-describing (segment 0 carries total length and segment size), so
 // receivers adapt to whatever the root chose.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	return c.BcastWith(Auto, root, data)
-}
-
-// BcastWith is Bcast with a forced algorithm on the root (Binomial or
-// BinomialSeg).
-func (c *Comm) BcastWith(algo Algo, root int, data []byte) ([]byte, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	if root < 0 || root >= c.size {
-		return nil, errBadRoot("Bcast", root, c.size)
-	}
-	if c.size == 1 {
-		c.obsDone(opBcast, Binomial, start)
-		return data, nil
-	}
-	out, used, err := c.bcast(seq, root, data, algo)
+	algo := Binomial
+	var out []byte
+	err := c.run(opBcast, &algo, func(seq uint32) (err error) {
+		if root < 0 || root >= c.size {
+			return errBadRoot("Bcast", root, c.size)
+		}
+		out, algo, err = c.bcast(seq, root, data)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.obsDone(opBcast, used, start)
 	return out, nil
 }
 
@@ -51,10 +40,12 @@ func (c *Comm) BcastWith(algo Algo, root int, data []byte) ([]byte, error) {
 // size, both uint32, so receivers can size the result and count segments.
 const bcastPrefixLen = 8
 
-func (c *Comm) bcast(seq uint32, root int, data []byte, algo Algo) ([]byte, Algo, error) {
+// bcast returns the broadcast payload and the algorithm that carried it.
+func (c *Comm) bcast(seq uint32, root int, data []byte) ([]byte, Algo, error) {
 	rel := (c.rank - root + c.size) % c.size
 	if rel == 0 {
-		return c.bcastRoot(seq, root, data, algo)
+		algo, err := c.bcastRoot(seq, root, data)
+		return data, algo, err
 	}
 
 	// Find the binomial parent: the peer across this rank's lowest set bit.
@@ -66,10 +57,10 @@ func (c *Comm) bcast(seq uint32, root int, data []byte, algo Algo) ([]byte, Algo
 
 	p0, err := c.recv(parent, opBcast, c.hdr(seq, 0, opBcast))
 	if err != nil {
-		return nil, Auto, err
+		return nil, Binomial, err
 	}
 	if len(p0) < c.hlen+bcastPrefixLen {
-		return nil, Auto, fmt.Errorf("collective: bcast segment 0 payload %d bytes", len(p0))
+		return nil, Binomial, fmt.Errorf("collective: bcast segment 0 payload %d bytes", len(p0))
 	}
 	total := int(binary.LittleEndian.Uint32(p0[c.hlen:]))
 	segSize := int(binary.LittleEndian.Uint32(p0[c.hlen+4:]))
@@ -80,7 +71,7 @@ func (c *Comm) bcast(seq uint32, root int, data []byte, algo Algo) ([]byte, Algo
 	if nseg < 1 {
 		nseg = 1
 	}
-	algo = Binomial
+	algo := Binomial
 	if nseg > 1 {
 		algo = BinomialSeg
 	}
@@ -141,14 +132,17 @@ func (c *Comm) bcast(seq uint32, root int, data []byte, algo Algo) ([]byte, Algo
 	return out, algo, nil
 }
 
-func (c *Comm) bcastRoot(seq uint32, root int, data []byte, algo Algo) ([]byte, Algo, error) {
+// bcastRoot sends data down the tree and returns the algorithm it used:
+// BinomialSeg when the table's threshold and segment size split the payload
+// into more than one segment, Binomial otherwise.
+func (c *Comm) bcastRoot(seq uint32, root int, data []byte) (Algo, error) {
+	if c.size == 1 {
+		return Binomial, nil // nobody to send to: build no wire buffers
+	}
 	total := len(data)
 	segSize := total
-	if algo == BinomialSeg || (algo == Auto && total >= c.table.BcastSegBytes) {
+	if total >= c.table.BcastSegBytes {
 		segSize = c.table.BcastSegSize
-		algo = BinomialSeg
-	} else {
-		algo = Binomial
 	}
 	if segSize <= 0 || segSize > total {
 		segSize = total
@@ -161,6 +155,7 @@ func (c *Comm) bcastRoot(seq uint32, root int, data []byte, algo Algo) ([]byte, 
 		segSize = (total + maxBcastSegs - 1) / maxBcastSegs
 		nseg = (total + segSize - 1) / segSize
 	}
+	algo := Binomial
 	if nseg > 1 {
 		algo = BinomialSeg
 	}
@@ -192,12 +187,12 @@ func (c *Comm) bcastRoot(seq uint32, root int, data []byte, algo Algo) ([]byte, 
 		for m := topmask >> 1; m > 0; m >>= 1 {
 			if m < c.size {
 				if err := c.sendRaw((m+root)%c.size, opBcast, p); err != nil {
-					return nil, algo, err
+					return algo, err
 				}
 			}
 		}
 	}
-	return data, algo, nil
+	return algo, nil
 }
 
 // copySeg places a received segment body into the assembled result,
@@ -213,21 +208,4 @@ func copySeg(out []byte, s, segSize, total int, body []byte) error {
 	}
 	copy(out[lo:hi], body)
 	return nil
-}
-
-// BcastFloats broadcasts a float64 slice from root. On the root the input
-// slice itself is returned.
-func (c *Comm) BcastFloats(root int, vals []float64) ([]float64, error) {
-	var payload []byte
-	if c.rank == root {
-		payload = encodeFloats(vals)
-	}
-	b, err := c.Bcast(root, payload)
-	if err != nil {
-		return nil, err
-	}
-	if c.rank == root {
-		return vals, nil
-	}
-	return decodeFloats(b)
 }

@@ -3,7 +3,6 @@ package collective
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -131,24 +130,6 @@ func TestBcastBadRoot(t *testing.T) {
 	runGroup(t, 2, func(c *Comm) error {
 		if _, err := c.Bcast(5, nil); err == nil {
 			return fmt.Errorf("bad root accepted")
-		}
-		return nil
-	})
-}
-
-func TestBcastFloats(t *testing.T) {
-	want := []float64{1.5, -2.25, math.Pi}
-	runGroup(t, 5, func(c *Comm) error {
-		var in []float64
-		if c.Rank() == 1 {
-			in = want
-		}
-		out, err := c.BcastFloats(1, in)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(out, want) {
-			return fmt.Errorf("got %v", out)
 		}
 		return nil
 	})
@@ -315,6 +296,38 @@ func TestScatterWrongPartCount(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRejectedCallTakesOneSeq pins the rule of Comm.run: a call that rejects
+// its arguments has already taken its sequence number — exactly one — so a
+// rank that rejects (Scatter's part count is checked on the root only) stays
+// aligned with peers that did not. Every rejection precedes communication,
+// so rank 0 of a group of two can be driven alone.
+func TestRejectedCallTakesOneSeq(t *testing.T) {
+	_, comms, _ := ftGroup(t, 2, time.Second)
+	c := comms[0]
+	v := []float64{1, 2, 3}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"reduce/bad-root", func() error { _, err := c.Reduce(2, v, Sum); return err }},
+		{"bcast/bad-root", func() error { _, err := c.Bcast(-1, nil); return err }},
+		{"gather/bad-root", func() error { _, err := c.Gather(2, nil); return err }},
+		{"scatter/bad-root", func() error { _, err := c.Scatter(-1, nil); return err }},
+		{"scatter/part-count", func() error { _, err := c.Scatter(0, make([][]byte, 3)); return err }},
+		{"alltoall/part-count", func() error { _, err := c.AllToAll(make([][]byte, 1)); return err }},
+		{"reducescatter/indivisible", func() error { _, err := c.ReduceScatter(v, Sum); return err }},
+	}
+	for _, tc := range cases {
+		before := c.opSeq
+		if err := tc.call(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if got := c.opSeq - before; got != 1 {
+			t.Errorf("%s: consumed %d sequence numbers, want 1", tc.name, got)
+		}
+	}
 }
 
 func TestAllGather(t *testing.T) {

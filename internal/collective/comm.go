@@ -11,9 +11,9 @@
 //
 // The engine is multi-algorithm: each operation carries a latency-optimal and
 // a bandwidth-optimal implementation (see algo.go), dispatched per call on
-// (group size, vector bytes) through a Table that Tune can calibrate against
-// the live transport. Result slices returned by collectives never alias the
-// caller's input slices.
+// (group size, vector bytes) through the Comm's Table, the only selector.
+// Result slices returned by collectives never alias the caller's input
+// slices.
 package collective
 
 import (
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/obsv"
 	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -98,19 +97,15 @@ type Comm struct {
 	fscratch []float64
 
 	ins *Instruments
-	// allReduceHist, when set, observes every AllReduce's wall time in
-	// nanoseconds (a nil histogram is a no-op, so the default costs nothing).
-	allReduceHist *obsv.Histogram
 
 	// Diagnosis state (see diag.go). hlen is the per-payload prefix length:
 	// hdrLen normally, hdrLen+trailerLen when critical-path attribution is
 	// on and every payload carries the piggybacked fold trailer.
-	hlen    int
-	board   *diag.Board
-	flight  *diag.Recorder
-	dclk    vclock.Clock
-	minWait int64
-	dstate  diagState
+	hlen   int
+	board  *diag.Board
+	flight *diag.Recorder
+	dclk   vclock.Clock
+	dstate diagState
 }
 
 // New returns the Comm for rank within a size-process group named program.
@@ -144,9 +139,6 @@ func (c *Comm) Program() string { return c.program }
 // SetTimeout overrides the per-message wait bound used by collectives.
 func (c *Comm) SetTimeout(d time.Duration) { c.timeout = d }
 
-// SetAllReduceHist attaches a latency histogram to AllReduce (nil detaches).
-func (c *Comm) SetAllReduceHist(h *obsv.Histogram) { c.allReduceHist = h }
-
 // SetInstruments attaches per-op/per-algorithm latency histograms (nil
 // detaches).
 func (c *Comm) SetInstruments(ins *Instruments) { c.ins = ins }
@@ -158,8 +150,9 @@ func (c *Comm) Instruments() *Instruments { return c.ins }
 func (c *Comm) Table() *Table { return c.table }
 
 // SetTable installs a dispatch table (nil restores the defaults). All ranks
-// of a group must install identical tables — dispatch decisions are made
-// independently per rank and must agree.
+// of a group must install identical tables at the same point of their
+// collective sequence — dispatch decisions are made independently per rank
+// and must agree. The table is read, never written, by the Comm.
 func (c *Comm) SetTable(t *Table) {
 	if t == nil {
 		t = DefaultTable()
@@ -182,17 +175,6 @@ func (c *Comm) SetBufferReuse(on bool) {
 	if !on {
 		c.free = nil
 	}
-}
-
-// nextSeq advances the per-Comm operation counter. Because every rank
-// executes the same collective sequence, the counter alone identifies the
-// operation instance on all ranks.
-func (c *Comm) nextSeq() uint32 {
-	c.opSeq++
-	if c.diagEnabled() {
-		c.dstate = diagState{active: true, maxRank: -1}
-	}
-	return c.opSeq
 }
 
 // buf returns a byte slice of length n, from the free list when reuse is on.
@@ -260,28 +242,37 @@ func (c *Comm) deadline() <-chan time.Time {
 	return c.timer.C()
 }
 
-// obsStart begins an operation latency measurement when instrumented.
-func (c *Comm) obsStart() time.Time {
-	if c.ins == nil && c.allReduceHist == nil {
-		return time.Time{}
+// run is the one entry path of every collective: it refuses a revoked Comm,
+// takes the operation's sequence number, runs body and, on success, flushes
+// the straggler attribution and observes the latency under (op, *algo).
+// Every rank executes the same collective sequence, so the per-Comm counter
+// alone identifies the operation instance on all ranks; it advances before
+// body can reject an argument, so a rank that rejects stays aligned with
+// peers that did not (Scatter's part count is checked on the root only).
+// algo is read after body because Bcast receivers learn the algorithm from
+// segment 0. The clock is read only when instruments are attached.
+func (c *Comm) run(op opID, algo *Algo, body func(seq uint32) error) error {
+	if c.revoked {
+		return ErrRevoked
 	}
-	return time.Now()
-}
-
-// obsDone records an operation latency under (op, algo) and, with
-// diagnosis on, flushes the operation's straggler attribution.
-func (c *Comm) obsDone(op opID, algo Algo, start time.Time) {
+	var start time.Time
+	if c.ins != nil {
+		start = time.Now()
+	}
+	c.opSeq++
+	if c.diagEnabled() {
+		c.dstate = diagState{active: true, maxRank: -1}
+	}
+	if err := body(c.opSeq); err != nil {
+		return err
+	}
 	if c.dstate.active {
 		c.diagEnd(op)
 	}
-	if start.IsZero() {
-		return
+	if c.ins != nil {
+		c.ins.observe(op, *algo, time.Since(start).Nanoseconds())
 	}
-	ns := time.Since(start).Nanoseconds()
-	if op == opAllReduce {
-		c.allReduceHist.Observe(ns)
-	}
-	c.ins.observe(op, algo, ns)
+	return nil
 }
 
 // sendRaw sends a preassembled payload (already carrying its header) to

@@ -34,7 +34,7 @@ const trailerLen = 16
 // it never blame anyone, so scheduler jitter does not elect stragglers.
 const DefaultDiagMinWait = 20 * time.Microsecond
 
-// diagState is the per-operation attribution accumulator, reset by nextSeq.
+// diagState is the per-operation attribution accumulator, reset by run.
 type diagState struct {
 	active  bool
 	lastNS  int64 // most recent receive-arrival clock read, reused by stamp
@@ -59,9 +59,6 @@ func (c *Comm) SetDiag(board *diag.Board, flight *diag.Recorder) {
 		return
 	}
 	c.hlen = hdrLen + trailerLen
-	if c.minWait == 0 {
-		c.minWait = int64(DefaultDiagMinWait)
-	}
 	// Timestamps must come from one clock per group. Prefer the flight
 	// recorder's (the framework clock — virtual under DST, so dumped
 	// timelines sort by simulated time); fall back to the dispatcher's.
@@ -70,15 +67,6 @@ func (c *Comm) SetDiag(board *diag.Board, flight *diag.Recorder) {
 		c.dclk = flight.Clock()
 		flight.SetOpNames(opTags[:])
 	}
-}
-
-// SetDiagMinWait overrides the attribution noise floor (0 restores the
-// default).
-func (c *Comm) SetDiagMinWait(d time.Duration) {
-	if d <= 0 {
-		d = DefaultDiagMinWait
-	}
-	c.minWait = int64(d)
 }
 
 // Board returns the attached straggler board (possibly nil).
@@ -154,7 +142,7 @@ func (c *Comm) diagFold(from int, p []byte, live bool, postNS, recvNS int64) {
 	if peerRank >= 0 {
 		intrinsic -= peerWait
 	}
-	if intrinsic >= c.minWait && intrinsic > d.maxWait {
+	if intrinsic >= int64(DefaultDiagMinWait) && intrinsic > d.maxWait {
 		d.maxWait, d.maxRank = intrinsic, int32(from)
 	}
 }

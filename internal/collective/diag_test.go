@@ -68,7 +68,7 @@ func TestDiagTrailerPreservesResults(t *testing.T) {
 				if sum[0] != wantSum || sum[1] != 2*float64(n) {
 					return fmt.Errorf("allreduce got %v", sum)
 				}
-				if _, err := c.AllReduceWith(Ring, make([]float64, 64), Sum); err != nil {
+				if _, err := c.force(Ring).AllReduce(make([]float64, 64), Sum); err != nil {
 					return err
 				}
 				msg := []byte("the payload")
@@ -83,7 +83,7 @@ func TestDiagTrailerPreservesResults(t *testing.T) {
 				for i := range big {
 					big[i] = byte(i)
 				}
-				gotBig, err := c.BcastWith(BinomialSeg, 0, big)
+				gotBig, err := c.force(BinomialSeg).Bcast(0, big)
 				if err != nil {
 					return err
 				}
@@ -92,8 +92,9 @@ func TestDiagTrailerPreservesResults(t *testing.T) {
 						return fmt.Errorf("seg bcast corrupt at %d", i)
 					}
 				}
+				c.SetTable(nil) // back to the defaults for the rest of the mix
 				part := []byte{byte(c.Rank())}
-				parts, err := c.GatherWith(Binomial, 0, part)
+				parts, err := c.Gather(0, part)
 				if err != nil {
 					return err
 				}
@@ -140,11 +141,12 @@ func TestDiagBlamesSlowRank(t *testing.T) {
 		t.Run(algo.String(), func(t *testing.T) {
 			board, flight := runDiagGroup(t, size, func(c *Comm) error {
 				vals := make([]float64, 256)
+				c.force(algo)
 				for i := 0; i < ops; i++ {
 					if c.Rank() == slow {
 						time.Sleep(time.Millisecond)
 					}
-					if _, err := c.AllReduceWith(algo, vals, Sum); err != nil {
+					if _, err := c.AllReduce(vals, Sum); err != nil {
 						return err
 					}
 				}
@@ -190,10 +192,9 @@ func TestDiagFoldWireFormat(t *testing.T) {
 	mk := func() *Comm {
 		return &Comm{
 			rank: 0, size: 8,
-			hlen:    hdrLen + trailerLen,
-			dclk:    vclock.Wall,
-			minWait: int64(20 * time.Microsecond),
-			dstate:  diagState{active: true, maxRank: -1},
+			hlen:   hdrLen + trailerLen,
+			dclk:   vclock.Wall,
+			dstate: diagState{active: true, maxRank: -1},
 		}
 	}
 	// A fresh comm stamps "no straggler yet".

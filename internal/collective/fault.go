@@ -737,9 +737,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 		epoch: c.epoch + 1, peers: newPeers,
 		pendingCap: c.pendingCap, pending: newPending(len(newPeers), c.pendingCap),
 		reuse: c.reuse, free: c.free, fscratch: c.fscratch,
-		ins: c.ins, allReduceHist: c.allReduceHist,
-		hlen: c.hlen, board: c.board, flight: c.flight,
-		dclk: c.dclk, minWait: c.minWait,
+		ins: c.ins, hlen: c.hlen, board: c.board, flight: c.flight, dclk: c.dclk,
 		timer: c.timer, clk: c.clk, armedAt: c.armedAt,
 	}
 	// Carry parked frames that already belong to the successor (or a later)

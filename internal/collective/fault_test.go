@@ -227,36 +227,27 @@ func TestOpsFailFastOnDeadRank(t *testing.T) {
 		run  func(c *Comm) error
 	}{
 		{"barrier", func(c *Comm) error { return c.Barrier() }},
-		{"bcast/binomial", func(c *Comm) error { _, err := c.BcastWith(Binomial, 0, []byte("x")); return err }},
-		{"bcast/binomial-seg", func(c *Comm) error { _, err := c.BcastWith(BinomialSeg, 0, make([]byte, 4096)); return err }},
+		{"bcast/binomial", func(c *Comm) error { _, err := c.force(Binomial).Bcast(0, []byte("x")); return err }},
+		{"bcast/binomial-seg", func(c *Comm) error { _, err := c.force(BinomialSeg).Bcast(0, make([]byte, 4096)); return err }},
 		{"reduce", func(c *Comm) error { _, err := c.Reduce(0, vec(c), Sum); return err }},
-		{"allreduce/recdbl", func(c *Comm) error { return c.AllReduceInPlaceWith(RecursiveDoubling, vec(c), Sum) }},
-		{"allreduce/ring", func(c *Comm) error { return c.AllReduceInPlaceWith(Ring, long, Sum) }},
-		{"gather/linear", func(c *Comm) error { _, err := c.GatherWith(Linear, 0, []byte{1}); return err }},
-		{"gather/binomial", func(c *Comm) error { _, err := c.GatherWith(Binomial, 0, []byte{1}); return err }},
+		{"allreduce/recdbl", func(c *Comm) error { return c.force(RecursiveDoubling).AllReduceInPlace(vec(c), Sum) }},
+		{"allreduce/ring", func(c *Comm) error { return c.force(Ring).AllReduceInPlace(long, Sum) }},
+		{"gather/linear", func(c *Comm) error { _, err := c.Gather(0, []byte{1}); return err }},
 		{"scatter/linear", func(c *Comm) error {
 			var in [][]byte
 			if c.Rank() == 0 {
 				in = parts(c)
 			}
-			_, err := c.ScatterWith(Linear, 0, in)
+			_, err := c.Scatter(0, in)
 			return err
 		}},
-		{"scatter/binomial", func(c *Comm) error {
-			var in [][]byte
-			if c.Rank() == 0 {
-				in = parts(c)
-			}
-			_, err := c.ScatterWith(Binomial, 0, in)
-			return err
-		}},
-		{"allgather/linear", func(c *Comm) error { _, err := c.AllGatherWith(Linear, []byte{2}); return err }},
-		{"allgather/ring", func(c *Comm) error { _, err := c.AllGatherWith(Ring, []byte{2}); return err }},
-		{"alltoall/linear", func(c *Comm) error { _, err := c.AllToAllWith(Linear, parts(c)); return err }},
-		{"alltoall/pairwise", func(c *Comm) error { _, err := c.AllToAllWith(Pairwise, parts(c)); return err }},
+		{"allgather/linear", func(c *Comm) error { _, err := c.force(Linear).AllGather([]byte{2}); return err }},
+		{"allgather/ring", func(c *Comm) error { _, err := c.force(Ring).AllGather([]byte{2}); return err }},
+		{"alltoall/linear", func(c *Comm) error { _, err := c.force(Linear).AllToAll(parts(c)); return err }},
+		{"alltoall/pairwise", func(c *Comm) error { _, err := c.force(Pairwise).AllToAll(parts(c)); return err }},
 		{"scan", func(c *Comm) error { _, err := c.Scan(vec(c), Sum); return err }},
-		{"reducescatter/composed", func(c *Comm) error { _, err := c.ReduceScatterWith(Composed, long, Sum); return err }},
-		{"reducescatter/ring", func(c *Comm) error { _, err := c.ReduceScatterWith(Ring, long, Sum); return err }},
+		{"reducescatter/composed", func(c *Comm) error { _, err := c.force(Composed).ReduceScatter(long, Sum); return err }},
+		{"reducescatter/ring", func(c *Comm) error { _, err := c.force(Ring).ReduceScatter(long, Sum); return err }},
 	}
 	survivors := []int{0, 1, 3, 4}
 	for _, tc := range cases {
@@ -295,6 +286,46 @@ func TestOpsFailFastOnDeadRank(t *testing.T) {
 	}
 }
 
+// TestSendToClosingRankIsTyped: a rank whose endpoint closes under a sender
+// blocked on its full mailbox is hard evidence like any vanished address —
+// sendRaw returns a RankFailedError and marks the rank dead, it does not
+// pass on an untyped transport error. Whether the close lands before the
+// sender's address lookup or while it is blocked, the outcome is the same;
+// the pause only steers the run towards the blocked case, which nothing
+// outside the transport can observe.
+func TestSendToClosingRankIsTyped(t *testing.T) {
+	net := transport.NewMemNetworkDepth(1)
+	defer net.Close()
+	ep0, err := net.Register(transport.Proc("G", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep1, err := net.Register(transport.Proc("G", 1)) // no dispatcher: nothing drains its mailbox
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(transport.NewDispatcher(ep0), "G", 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, hdrLen)
+	if err := c.sendRaw(1, opBarrier, payload); err != nil { // fills rank 1's mailbox
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- c.sendRaw(1, opBarrier, payload) }()
+	time.Sleep(5 * time.Millisecond)
+	ep1.Close()
+	err = <-errc
+	var rf *RankFailedError
+	if !errors.As(err, &rf) || rf.Rank != 1 {
+		t.Fatalf("send to a closing rank returned %v, want RankFailedError for rank 1", err)
+	}
+	if c.deadSet == nil || !c.deadSet.has(1) {
+		t.Error("closing rank not marked dead")
+	}
+}
+
 // TestRevokeUnblocks: ranks blocked deep inside a collective with a long
 // deadline unblock promptly — with ErrRevoked — when any rank revokes.
 func TestRevokeUnblocks(t *testing.T) {
@@ -325,7 +356,7 @@ func TestRevokeUnblocks(t *testing.T) {
 }
 
 // TestRevokedOpsReturnErrRevoked: every operation entry point refuses a
-// revoked communicator.
+// revoked communicator, and a refused call consumes no sequence number.
 func TestRevokedOpsReturnErrRevoked(t *testing.T) {
 	_, comms, _ := ftGroup(t, 1, time.Second)
 	c := comms[0]
@@ -354,6 +385,9 @@ func TestRevokedOpsReturnErrRevoked(t *testing.T) {
 		if !errors.Is(err, ErrRevoked) {
 			t.Errorf("%s on revoked comm returned %v, want ErrRevoked", op, err)
 		}
+	}
+	if c.opSeq != 0 {
+		t.Errorf("revoked calls consumed %d sequence numbers, want 0", c.opSeq)
 	}
 }
 
@@ -790,7 +824,7 @@ func TestShrunkSteadyStateZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g.comms[i] = nc
+		g.comms[i] = nc.force(RecursiveDoubling)
 		g.trigger[i] = make(chan struct{})
 		i++
 	}
@@ -806,7 +840,7 @@ func TestShrunkSteadyStateZeroAlloc(t *testing.T) {
 		go func() {
 			defer g.wg.Done()
 			for range tr {
-				g.done <- c.AllReduceInPlaceWith(RecursiveDoubling, vec, Max)
+				g.done <- c.AllReduceInPlace(vec, Max)
 			}
 		}()
 	}

@@ -1,10 +1,5 @@
 package collective
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Byte-slice collectives. Parts may have different sizes per rank, so
 // algorithm dispatch keys on group size alone (identical on every rank).
 // Returned slices never alias the caller's inputs: a root's own Gather
@@ -12,240 +7,89 @@ import (
 // mutating an input after the call cannot corrupt the result (and vice
 // versa).
 
-// Gather collects each rank's part at root. At root the returned slice has
-// one entry per rank, in rank order; other ranks get nil.
-func (c *Comm) Gather(root int, part []byte) ([][]byte, error) {
-	return c.GatherWith(Auto, root, part)
-}
-
-// GatherWith is Gather with a forced algorithm (Linear or Binomial).
-func (c *Comm) GatherWith(algo Algo, root int, part []byte) ([][]byte, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	if root < 0 || root >= c.size {
-		return nil, errBadRoot("Gather", root, c.size)
-	}
-	if algo != Linear && algo != Binomial {
-		algo = c.table.gatherAlgo(c.size)
-	}
-	if c.size == 1 {
-		c.obsDone(opGather, algo, start)
-		return [][]byte{copyBytes(part)}, nil
-	}
-	var (
-		out [][]byte
-		err error
-	)
-	if algo == Binomial {
-		out, err = c.gatherTree(seq, root, part)
-	} else {
-		out, err = c.gatherLinear(seq, root, part)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.obsDone(opGather, algo, start)
-	return out, nil
-}
-
-func (c *Comm) gatherLinear(seq uint32, root int, part []byte) ([][]byte, error) {
-	h := c.hdr(seq, 0, opGather)
-	if c.rank != root {
-		return nil, c.sendBytes(root, opGather, h, part)
-	}
-	out := make([][]byte, c.size)
-	out[root] = copyBytes(part)
+// sendParts sends part(r) to every other rank r under one header. The
+// dispatcher's unbounded queues make the eager sends deadlock-free.
+func (c *Comm) sendParts(op opID, h uint64, part func(r int) []byte) error {
 	for r := 0; r < c.size; r++ {
-		if r == root {
+		if r == c.rank {
 			continue
 		}
-		p, err := c.recv(r, opGather, h)
+		if err := c.sendBytes(r, op, h, part(r)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// recvParts receives every other rank r's payload under one header into
+// out[r].
+func (c *Comm) recvParts(op opID, h uint64, out [][]byte) error {
+	for r := 0; r < c.size; r++ {
+		if r == c.rank {
+			continue
+		}
+		p, err := c.recv(r, op, h)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		out[r] = p[c.hlen:]
 	}
-	return out, nil
+	return nil
 }
 
-// gatherTree runs the binomial-tree gather: leaves send their entry to their
-// parent, interior nodes concatenate their subtree's entries and forward
-// them up, so the root performs ceil(log2 n) receives instead of n-1. The
-// combined payload is a sequence of [rank uint32][len uint32][bytes] entries.
-func (c *Comm) gatherTree(seq uint32, root int, part []byte) ([][]byte, error) {
-	rel := (c.rank - root + c.size) % c.size
-	// M is this node's subtree span: children sit at rel+m for powers of two
-	// m < M (clipped to the group); the parent is across bit M.
-	M := c.size
-	if rel != 0 {
-		M = rel & (-rel)
-	}
-	buf := appendEntry(make([]byte, 0, 16+len(part)), uint32(c.rank), part)
-	h := c.hdr(seq, 0, opGather)
-	for m := 1; m < M && rel+m < c.size; m <<= 1 {
-		p, err := c.recv((rel+m+root)%c.size, opGather, h)
-		if err != nil {
-			return nil, err
+// Gather collects each rank's part at root with the linear root loop. At
+// root the returned slice has one entry per rank, in rank order; other ranks
+// get nil.
+func (c *Comm) Gather(root int, part []byte) ([][]byte, error) {
+	algo := Linear
+	var out [][]byte
+	err := c.run(opGather, &algo, func(seq uint32) error {
+		if root < 0 || root >= c.size {
+			return errBadRoot("Gather", root, c.size)
 		}
-		buf = append(buf, p[c.hlen:]...)
-	}
-	if rel != 0 {
-		return nil, c.sendBytes((rel-M+root)%c.size, opGather, h, buf)
-	}
-	out := make([][]byte, c.size)
-	if err := parseEntries(buf, func(r uint32, body []byte) error {
-		if int(r) >= c.size || out[r] != nil {
-			return fmt.Errorf("collective: gather entry for rank %d (group %d)", r, c.size)
+		h := c.hdr(seq, 0, opGather)
+		if c.rank != root {
+			return c.sendBytes(root, opGather, h, part)
 		}
-		out[r] = body
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for r := range out {
-		if out[r] == nil {
-			return nil, fmt.Errorf("collective: gather missing rank %d", r)
-		}
-	}
-	return out, nil
-}
-
-// Scatter distributes parts[r] from root to rank r and returns the local
-// part on every rank. Only root's parts argument is consulted.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	return c.ScatterWith(Auto, root, parts)
-}
-
-// ScatterWith is Scatter with a forced algorithm (Linear or Binomial).
-func (c *Comm) ScatterWith(algo Algo, root int, parts [][]byte) ([]byte, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	if root < 0 || root >= c.size {
-		return nil, errBadRoot("Scatter", root, c.size)
-	}
-	if c.rank == root && len(parts) != c.size {
-		return nil, errPartCount("Scatter", len(parts), c.size)
-	}
-	if algo != Linear && algo != Binomial {
-		algo = c.table.gatherAlgo(c.size)
-	}
-	if c.size == 1 {
-		c.obsDone(opScatter, algo, start)
-		return copyBytes(parts[root]), nil
-	}
-	var (
-		out []byte
-		err error
-	)
-	if algo == Binomial {
-		out, err = c.scatterTree(seq, root, parts)
-	} else {
-		out, err = c.scatterLinear(seq, root, parts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c.obsDone(opScatter, algo, start)
-	return out, nil
-}
-
-func (c *Comm) scatterLinear(seq uint32, root int, parts [][]byte) ([]byte, error) {
-	h := c.hdr(seq, 0, opScatter)
-	if c.rank == root {
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.sendBytes(r, opScatter, h, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return copyBytes(parts[root]), nil
-	}
-	p, err := c.recv(root, opScatter, h)
-	if err != nil {
-		return nil, err
-	}
-	return p[c.hlen:], nil
-}
-
-// scatterTree is the binomial mirror of gatherTree: the root packs each
-// child's whole-subtree entries into one message, and interior nodes peel
-// off their own entry and repack the remainder for their children.
-func (c *Comm) scatterTree(seq uint32, root int, parts [][]byte) ([]byte, error) {
-	rel := (c.rank - root + c.size) % c.size
-	h := c.hdr(seq, 0, opScatter)
-	relOf := func(r uint32) int { return (int(r) - root + c.size) % c.size }
-
-	var entries []byte // the entry stream covering this node's subtree
-	var own []byte
-	if rel == 0 {
-		var scratch []byte
-		topmask := 1
-		for topmask < c.size {
-			topmask <<= 1
-		}
-		for m := topmask >> 1; m > 0; m >>= 1 {
-			if m >= c.size {
-				continue
-			}
-			scratch = scratch[:0]
-			for pr := m; pr < min(2*m, c.size); pr++ {
-				r := (pr + root) % c.size
-				scratch = appendEntry(scratch, uint32(r), parts[r])
-			}
-			if err := c.sendBytes((m+root)%c.size, opScatter, h, scratch); err != nil {
-				return nil, err
-			}
-		}
-		return copyBytes(parts[root]), nil
-	}
-
-	M := rel & (-rel)
-	p, err := c.recv((rel-M+root)%c.size, opScatter, h)
-	if err != nil {
-		return nil, err
-	}
-	entries = p[c.hlen:]
-	// Repack per child: child at rel+m owns relative ranks [rel+m, rel+2m).
-	var scratch []byte
-	for m := M >> 1; m > 0; m >>= 1 {
-		if rel+m >= c.size {
-			continue
-		}
-		scratch = scratch[:0]
-		err := parseEntries(entries, func(r uint32, body []byte) error {
-			if pr := relOf(r); pr >= rel+m && pr < rel+2*m {
-				scratch = appendEntry(scratch, r, body)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := c.sendBytes((rel+m+root)%c.size, opScatter, h, scratch); err != nil {
-			return nil, err
-		}
-	}
-	err = parseEntries(entries, func(r uint32, body []byte) error {
-		if int(r) == c.rank {
-			own = body
-		}
-		return nil
+		out = make([][]byte, c.size)
+		out[root] = copyBytes(part)
+		return c.recvParts(opGather, h, out)
 	})
 	if err != nil {
 		return nil, err
 	}
-	if own == nil {
-		return nil, fmt.Errorf("collective: scatter rank %d missing its part", c.rank)
+	return out, nil
+}
+
+// Scatter distributes parts[r] from root to rank r with the linear root loop
+// and returns the local part on every rank. Only root's parts argument is
+// consulted.
+func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
+	algo := Linear
+	var out []byte
+	err := c.run(opScatter, &algo, func(seq uint32) error {
+		if root < 0 || root >= c.size {
+			return errBadRoot("Scatter", root, c.size)
+		}
+		h := c.hdr(seq, 0, opScatter)
+		if c.rank != root {
+			p, err := c.recv(root, opScatter, h)
+			if err != nil {
+				return err
+			}
+			out = p[c.hlen:]
+			return nil
+		}
+		if len(parts) != c.size {
+			return errPartCount("Scatter", len(parts), c.size)
+		}
+		out = copyBytes(parts[root])
+		return c.sendParts(opScatter, h, func(r int) []byte { return parts[r] })
+	})
+	if err != nil {
+		return nil, err
 	}
-	return own, nil
+	return out, nil
 }
 
 // AllGather collects each rank's part on every rank. Small groups use the
@@ -253,59 +97,24 @@ func (c *Comm) scatterTree(seq uint32, root int, parts [][]byte) ([]byte, error)
 // next block to the right neighbor), which keeps per-rank traffic at the sum
 // of all parts regardless of group size and never funnels through a root.
 func (c *Comm) AllGather(part []byte) ([][]byte, error) {
-	return c.AllGatherWith(Auto, part)
-}
-
-// AllGatherWith is AllGather with a forced algorithm (Linear or Ring).
-func (c *Comm) AllGatherWith(algo Algo, part []byte) ([][]byte, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	if algo != Linear && algo != Ring {
-		algo = c.table.allGatherAlgo(c.size)
-	}
-	out := make([][]byte, c.size)
-	out[c.rank] = copyBytes(part)
-	if c.size == 1 {
-		c.obsDone(opAllGather, algo, start)
-		return out, nil
-	}
-	var err error
-	if algo == Ring {
-		err = c.allGatherRing(seq, out)
-	} else {
-		err = c.allGatherLinear(seq, out)
-	}
+	algo := c.table.allGatherAlgo(c.size)
+	var out [][]byte
+	err := c.run(opAllGather, &algo, func(seq uint32) error {
+		out = make([][]byte, c.size)
+		out[c.rank] = copyBytes(part)
+		if algo == Ring {
+			return c.allGatherRing(seq, out)
+		}
+		h := c.hdr(seq, 0, opAllGather)
+		if err := c.sendParts(opAllGather, h, func(int) []byte { return part }); err != nil {
+			return err
+		}
+		return c.recvParts(opAllGather, h, out)
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.obsDone(opAllGather, algo, start)
 	return out, nil
-}
-
-func (c *Comm) allGatherLinear(seq uint32, out [][]byte) error {
-	h := c.hdr(seq, 0, opAllGather)
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
-		}
-		if err := c.sendBytes(r, opAllGather, h, out[c.rank]); err != nil {
-			return err
-		}
-	}
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
-		}
-		p, err := c.recv(r, opAllGather, h)
-		if err != nil {
-			return err
-		}
-		out[r] = p[c.hlen:]
-	}
-	return nil
 }
 
 func (c *Comm) allGatherRing(seq uint32, out [][]byte) error {
@@ -334,64 +143,27 @@ func (c *Comm) allGatherRing(seq uint32, out [][]byte) error {
 // (step s trades with rank±s), which spreads the traffic over disjoint pairs
 // per step instead of all ranks bursting at once.
 func (c *Comm) AllToAll(parts [][]byte) ([][]byte, error) {
-	return c.AllToAllWith(Auto, parts)
-}
-
-// AllToAllWith is AllToAll with a forced algorithm (Linear or Pairwise).
-func (c *Comm) AllToAllWith(algo Algo, parts [][]byte) ([][]byte, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	if len(parts) != c.size {
-		return nil, errPartCount("AllToAll", len(parts), c.size)
-	}
-	if algo != Linear && algo != Pairwise {
-		algo = c.table.allToAllAlgo(c.size)
-	}
-	out := make([][]byte, c.size)
-	out[c.rank] = copyBytes(parts[c.rank])
-	if c.size == 1 {
-		c.obsDone(opAllToAll, algo, start)
-		return out, nil
-	}
-	var err error
-	if algo == Pairwise {
-		err = c.allToAllPairwise(seq, parts, out)
-	} else {
-		err = c.allToAllLinear(seq, parts, out)
-	}
+	algo := c.table.allToAllAlgo(c.size)
+	var out [][]byte
+	err := c.run(opAllToAll, &algo, func(seq uint32) error {
+		if len(parts) != c.size {
+			return errPartCount("AllToAll", len(parts), c.size)
+		}
+		out = make([][]byte, c.size)
+		out[c.rank] = copyBytes(parts[c.rank])
+		if algo == Pairwise {
+			return c.allToAllPairwise(seq, parts, out)
+		}
+		h := c.hdr(seq, 0, opAllToAll)
+		if err := c.sendParts(opAllToAll, h, func(r int) []byte { return parts[r] }); err != nil {
+			return err
+		}
+		return c.recvParts(opAllToAll, h, out)
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.obsDone(opAllToAll, algo, start)
 	return out, nil
-}
-
-func (c *Comm) allToAllLinear(seq uint32, parts, out [][]byte) error {
-	h := c.hdr(seq, 0, opAllToAll)
-	// Send everything, then collect. The dispatcher's unbounded queues make
-	// the eager sends deadlock-free.
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
-		}
-		if err := c.sendBytes(r, opAllToAll, h, parts[r]); err != nil {
-			return err
-		}
-	}
-	for r := 0; r < c.size; r++ {
-		if r == c.rank {
-			continue
-		}
-		p, err := c.recv(r, opAllToAll, h)
-		if err != nil {
-			return err
-		}
-		out[r] = p[c.hlen:]
-	}
-	return nil
 }
 
 func (c *Comm) allToAllPairwise(seq uint32, parts, out [][]byte) error {
@@ -417,33 +189,6 @@ func copyBytes(b []byte) []byte {
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
-}
-
-// appendEntry appends one [rank uint32][len uint32][bytes] record.
-func appendEntry(dst []byte, rank uint32, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, rank)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	return append(dst, body...)
-}
-
-// parseEntries walks a [rank uint32][len uint32][bytes] stream. Bodies
-// passed to fn alias the stream.
-func parseEntries(b []byte, fn func(rank uint32, body []byte) error) error {
-	for len(b) > 0 {
-		if len(b) < 8 {
-			return fmt.Errorf("collective: truncated entry header (%d bytes)", len(b))
-		}
-		rank := binary.LittleEndian.Uint32(b)
-		n := int(binary.LittleEndian.Uint32(b[4:]))
-		if n < 0 || len(b)-8 < n {
-			return fmt.Errorf("collective: entry for rank %d claims %d bytes, %d remain", rank, n, len(b)-8)
-		}
-		if err := fn(rank, b[8:8+n]); err != nil {
-			return err
-		}
-		b = b[8+n:]
-	}
-	return nil
 }
 
 func errPartCount(op string, got, want int) error {

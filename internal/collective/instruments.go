@@ -21,9 +21,7 @@ var opAlgoPairs = []struct {
 	{opAllReduce, RecursiveDoubling},
 	{opAllReduce, Ring},
 	{opGather, Linear},
-	{opGather, Binomial},
 	{opScatter, Linear},
-	{opScatter, Binomial},
 	{opAllGather, Linear},
 	{opAllGather, Ring},
 	{opAllToAll, Linear},

@@ -15,44 +15,40 @@ func errBadRoot(op string, root, size int) error {
 // the same length. The result is returned at root; other ranks get nil. The
 // local slice is not modified.
 func (c *Comm) Reduce(root int, local []float64, op Op) ([]float64, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	if root < 0 || root >= c.size {
-		return nil, errBadRoot("Reduce", root, c.size)
-	}
-	acc := make([]float64, len(local))
-	copy(acc, local)
-	if c.size == 1 {
-		c.obsDone(opReduce, Binomial, start)
-		return acc, nil
-	}
-	rel := (c.rank - root + c.size) % c.size
-	round := 0
-	for mask := 1; mask < c.size; mask <<= 1 {
-		if rel&mask == 0 {
-			peerRel := rel | mask
-			if peerRel < c.size {
-				peer := (peerRel + root) % c.size
-				vals, err := c.recvScratch(peer, opReduce, c.hdr(seq, round, opReduce), len(acc))
-				if err != nil {
-					return nil, err
-				}
-				op(acc, vals)
-			}
-		} else {
-			peer := (rel - mask + root) % c.size
-			if err := c.sendFloats(peer, opReduce, c.hdr(seq, round, opReduce), acc); err != nil {
-				return nil, err
-			}
-			c.obsDone(opReduce, Binomial, start)
-			return nil, nil // contribution handed off; done
+	algo := Binomial
+	var acc []float64
+	err := c.run(opReduce, &algo, func(seq uint32) error {
+		if root < 0 || root >= c.size {
+			return errBadRoot("Reduce", root, c.size)
 		}
-		round++
+		acc = make([]float64, len(local))
+		copy(acc, local)
+		rel := (c.rank - root + c.size) % c.size
+		round := 0
+		for mask := 1; mask < c.size; mask <<= 1 {
+			if rel&mask == 0 {
+				peerRel := rel | mask
+				if peerRel < c.size {
+					peer := (peerRel + root) % c.size
+					vals, err := c.recvScratch(peer, opReduce, c.hdr(seq, round, opReduce), len(acc))
+					if err != nil {
+						return err
+					}
+					op(acc, vals)
+				}
+			} else {
+				peer := (rel - mask + root) % c.size
+				err := c.sendFloats(peer, opReduce, c.hdr(seq, round, opReduce), acc)
+				acc = nil // contribution handed off; done
+				return err
+			}
+			round++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.obsDone(opReduce, Binomial, start)
 	return acc, nil
 }
 
@@ -64,15 +60,9 @@ func (c *Comm) Reduce(root int, local []float64, op Op) ([]float64, error) {
 // regardless of group size. The local slice is not modified and the result
 // never aliases it.
 func (c *Comm) AllReduce(local []float64, op Op) ([]float64, error) {
-	return c.AllReduceWith(Auto, local, op)
-}
-
-// AllReduceWith is AllReduce with a forced algorithm (RecursiveDoubling or
-// Ring; Auto dispatches by the table).
-func (c *Comm) AllReduceWith(algo Algo, local []float64, op Op) ([]float64, error) {
 	acc := make([]float64, len(local))
 	copy(acc, local)
-	if err := c.AllReduceInPlaceWith(algo, acc, op); err != nil {
+	if err := c.AllReduceInPlace(acc, op); err != nil {
 		return nil, err
 	}
 	return acc, nil
@@ -82,36 +72,13 @@ func (c *Comm) AllReduceWith(algo Algo, local []float64, op Op) ([]float64, erro
 // result allocation: with buffer reuse enabled on the in-memory transport
 // the steady-state cost is zero allocations per operation.
 func (c *Comm) AllReduceInPlace(vals []float64, op Op) error {
-	return c.AllReduceInPlaceWith(Auto, vals, op)
-}
-
-// AllReduceInPlaceWith is AllReduceInPlace with a forced algorithm.
-func (c *Comm) AllReduceInPlaceWith(algo Algo, vals []float64, op Op) error {
-	if c.revoked {
-		return ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	if c.size == 1 {
-		c.obsDone(opAllReduce, RecursiveDoubling, start)
-		return nil
-	}
-	if algo == Auto {
-		algo = c.table.allReduceAlgo(c.size, wire.Float64sSize(len(vals)))
-	}
-	var err error
-	switch algo {
-	case Ring:
-		err = c.ringAllReduce(seq, vals, op)
-	default:
-		algo = RecursiveDoubling
-		err = c.rdAllReduce(seq, vals, op)
-	}
-	if err != nil {
-		return err
-	}
-	c.obsDone(opAllReduce, algo, start)
-	return nil
+	algo := c.table.allReduceAlgo(c.size, wire.Float64sSize(len(vals)))
+	return c.run(opAllReduce, &algo, func(seq uint32) error {
+		if algo == Ring {
+			return c.ringAllReduce(seq, vals, op)
+		}
+		return c.rdAllReduce(seq, vals, op)
+	})
 }
 
 // rdAllReduce runs recursive doubling on acc in place. Power-of-two groups

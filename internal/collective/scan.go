@@ -8,37 +8,35 @@ import "repro/internal/wire"
 // rank+2^k and folds the value received from rank-2^k. The result never
 // aliases local.
 func (c *Comm) Scan(local []float64, op Op) ([]float64, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	start := c.obsStart()
-	seq := c.nextSeq()
-	acc := make([]float64, len(local))
-	copy(acc, local)
-	if c.size == 1 {
-		c.obsDone(opScan, RecursiveDoubling, start)
-		return acc, nil
-	}
-	round := 0
-	for dist := 1; dist < c.size; dist <<= 1 {
-		h := c.hdr(seq, round, opScan)
-		// Send first, then receive: the dispatcher's unbounded queues make
-		// the eager send safe.
-		if peer := c.rank + dist; peer < c.size {
-			if err := c.sendFloats(peer, opScan, h, acc); err != nil {
-				return nil, err
+	algo := RecursiveDoubling
+	var acc []float64
+	err := c.run(opScan, &algo, func(seq uint32) error {
+		acc = make([]float64, len(local))
+		copy(acc, local)
+		round := 0
+		for dist := 1; dist < c.size; dist <<= 1 {
+			h := c.hdr(seq, round, opScan)
+			// Send first, then receive: the dispatcher's unbounded queues make
+			// the eager send safe.
+			if peer := c.rank + dist; peer < c.size {
+				if err := c.sendFloats(peer, opScan, h, acc); err != nil {
+					return err
+				}
 			}
-		}
-		if peer := c.rank - dist; peer >= 0 {
-			vals, err := c.recvScratch(peer, opScan, h, len(acc))
-			if err != nil {
-				return nil, err
+			if peer := c.rank - dist; peer >= 0 {
+				vals, err := c.recvScratch(peer, opScan, h, len(acc))
+				if err != nil {
+					return err
+				}
+				op(acc, vals)
 			}
-			op(acc, vals)
+			round++
 		}
-		round++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	c.obsDone(opScan, RecursiveDoubling, start)
 	return acc, nil
 }
 
@@ -58,41 +56,26 @@ func (c *Comm) ScanScalar(v float64, op Op) (float64, error) {
 // large ones the ring reduce-scatter, which moves ~len elements per rank
 // instead of funneling the full vector through a root twice.
 func (c *Comm) ReduceScatter(local []float64, op Op) ([]float64, error) {
-	return c.ReduceScatterWith(Auto, local, op)
-}
-
-// ReduceScatterWith is ReduceScatter with a forced algorithm (Composed or
-// Ring).
-func (c *Comm) ReduceScatterWith(algo Algo, local []float64, op Op) ([]float64, error) {
-	if c.revoked {
-		return nil, ErrRevoked
-	}
-	if len(local)%c.size != 0 {
-		return nil, errf("collective: ReduceScatter input length %d not divisible by group size %d",
-			len(local), c.size)
-	}
-	if algo != Composed && algo != Ring {
-		algo = c.table.reduceScatterAlgo(c.size, wire.Float64sSize(len(local)))
-	}
-	if c.size == 1 {
-		start := c.obsStart()
-		c.nextSeq()
-		out := make([]float64, len(local))
-		copy(out, local)
-		c.obsDone(opReduceScatter, algo, start)
-		return out, nil
-	}
-	if algo == Ring {
-		return c.reduceScatterRing(local, op)
-	}
-	return c.reduceScatterComposed(local, op)
+	algo := c.table.reduceScatterAlgo(c.size, wire.Float64sSize(len(local)))
+	var out []float64
+	err := c.run(opReduceScatter, &algo, func(seq uint32) (err error) {
+		if len(local)%c.size != 0 {
+			return errf("collective: ReduceScatter input length %d not divisible by group size %d",
+				len(local), c.size)
+		}
+		if algo == Ring {
+			out, err = c.reduceScatterRing(seq, local, op)
+		} else {
+			out, err = c.reduceScatterComposed(local, op)
+		}
+		return err
+	})
+	return out, err
 }
 
 // reduceScatterRing runs the reduce-scatter half of the ring on a working
 // copy and returns this rank's fully reduced block.
-func (c *Comm) reduceScatterRing(local []float64, op Op) ([]float64, error) {
-	start := c.obsStart()
-	seq := c.nextSeq()
+func (c *Comm) reduceScatterRing(seq uint32, local []float64, op Op) ([]float64, error) {
 	acc := make([]float64, len(local))
 	copy(acc, local)
 	if err := c.ringReduceScatterPhase(seq, opReduceScatter, acc, op); err != nil {
@@ -101,14 +84,13 @@ func (c *Comm) reduceScatterRing(local []float64, op Op) ([]float64, error) {
 	lo, hi := blockRange(len(acc), c.size, c.rank)
 	out := make([]float64, hi-lo)
 	copy(out, acc[lo:hi])
-	c.obsDone(opReduceScatter, Ring, start)
 	return out, nil
 }
 
 // reduceScatterComposed is the Reduce-to-root + Scatter reference
-// composition (the inner collectives record their own instruments).
+// composition; the inner collectives take their own sequence numbers and
+// record their own instruments.
 func (c *Comm) reduceScatterComposed(local []float64, op Op) ([]float64, error) {
-	start := c.obsStart()
 	n := len(local) / c.size
 	full, err := c.Reduce(0, local, op)
 	if err != nil {
@@ -125,10 +107,5 @@ func (c *Comm) reduceScatterComposed(local []float64, op Op) ([]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.decodeSameLen(b, n)
-	if err != nil {
-		return nil, err
-	}
-	c.obsDone(opReduceScatter, Composed, start)
-	return out, nil
+	return c.decodeSameLen(b, n)
 }

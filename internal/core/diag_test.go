@@ -19,12 +19,15 @@ func TestDiagWiring(t *testing.T) {
 	f := buildCoupling(t, Options{Diag: true, FlightDir: t.TempDir()}, 4, 2, 8, "REGL 1")
 	const slow = 2
 	prog := f.MustProgram("E")
+	ring := collective.DefaultTable()
+	ring.AllReduceRingBytes = 0 // every AllReduce takes the ring
 	runProcs(t, prog, func(p *Process) error {
+		p.Comm().SetTable(ring)
 		for i := 0; i < 20; i++ {
 			if p.Rank() == slow {
 				time.Sleep(500 * time.Microsecond)
 			}
-			if _, err := p.Comm().AllReduceWith(collective.Ring, []float64{1}, collective.Sum); err != nil {
+			if _, err := p.Comm().AllReduce([]float64{1}, collective.Sum); err != nil {
 				return err
 			}
 		}

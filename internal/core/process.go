@@ -303,7 +303,6 @@ func newProcess(p *Program, rank int, d *transport.Dispatcher) (*Process, error)
 	}
 	proc.tracer = p.fw.tracer
 	proc.ring = proc.tracer.Ring(p.name, rank)
-	comm.SetAllReduceHist(p.fw.obs.Registry.Histogram("collective.allreduce.ns", obsv.L("program", p.name)))
 	comm.SetInstruments(collective.NewInstruments(p.fw.obs.Registry, p.name))
 	comm.SetTimeout(p.fw.opts.Timeout)
 	if p.board != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"time"
 
 	"repro/internal/collective"
@@ -13,7 +14,7 @@ import (
 
 // Collective-chaos scenario: a group of raw collective.Comm ranks — no
 // framework above them — runs forced-algorithm AllReduce, segmented Bcast and
-// tree Gather rounds over the reliable layer while the world drops and delays
+// Gather rounds over the reliable layer while the world drops and delays
 // messages underneath. Collective results are pure functions of the inputs
 // (deterministic algorithms over exact dyadic values), so the outcome digest
 // must not merely replay per seed: it must be identical across every seed and
@@ -94,11 +95,17 @@ func RunCollectiveChaos(cfg CollectiveChaosConfig) (*CollectiveChaosResult, erro
 		net := chk.Wrap(rel)
 		defer net.Close()
 
-		// A table with a tiny segment size so the Bcast payload really
-		// exercises the pipelined multi-segment path under loss.
-		table := collective.DefaultTable()
-		table.BcastSegBytes = 512
-		table.BcastSegSize = 256
+		// Forcing is a table: a tiny segment size so the Bcast payload really
+		// exercises the pipelined multi-segment path under loss, and one
+		// table per AllReduce algorithm, swapped by every rank at the same
+		// point of its sequence (the tables themselves are shared and never
+		// written after this).
+		ringTable := collective.DefaultTable()
+		ringTable.BcastSegBytes = 0
+		ringTable.BcastSegSize = 256
+		ringTable.AllReduceRingBytes = 0
+		rdTable := *ringTable
+		rdTable.AllReduceRingBytes = math.MaxInt
 
 		comms := make([]*collective.Comm, cfg.Ranks)
 		for r := 0; r < cfg.Ranks; r++ {
@@ -113,7 +120,7 @@ func RunCollectiveChaos(cfg CollectiveChaosConfig) (*CollectiveChaosResult, erro
 				return err
 			}
 			c.SetTimeout(2 * time.Minute) // virtual; resends recover long before
-			c.SetTable(table)
+			c.SetTable(ringTable)
 			// Buffer reuse stays off: the reliable layer retains sent payloads
 			// for resend, so recycling them is unsafe by contract.
 			comms[r] = c
@@ -127,14 +134,16 @@ func RunCollectiveChaos(cfg CollectiveChaosConfig) (*CollectiveChaosResult, erro
 						// Phase 0/1: AllReduce under both algorithms; the ring
 						// result must match recursive doubling bit for bit.
 						in := chaosVec(c.Rank(), k, cfg.VecLen)
-						ring, err := c.AllReduceWith(collective.Ring, in, collective.Sum)
+						ring, err := c.AllReduce(in, collective.Sum)
 						if err != nil {
 							return fmt.Errorf("round %d ring allreduce: %w", k, err)
 						}
-						rd, err := c.AllReduceWith(collective.RecursiveDoubling, in, collective.Sum)
+						c.SetTable(&rdTable)
+						rd, err := c.AllReduce(in, collective.Sum)
 						if err != nil {
 							return fmt.Errorf("round %d rd allreduce: %w", k, err)
 						}
+						c.SetTable(ringTable)
 						out.record(c.Rank(), 10*k+0, 0, hashBytes(wire.AppendFloat64s(nil, ring)))
 						out.record(c.Rank(), 10*k+1, 0, hashBytes(wire.AppendFloat64s(nil, rd)))
 
@@ -147,15 +156,15 @@ func RunCollectiveChaos(cfg CollectiveChaosConfig) (*CollectiveChaosResult, erro
 								payload[i] = byte(i*31 + k*7)
 							}
 						}
-						got, err := c.BcastWith(collective.BinomialSeg, root, payload)
+						got, err := c.Bcast(root, payload)
 						if err != nil {
 							return fmt.Errorf("round %d bcast: %w", k, err)
 						}
 						out.record(c.Rank(), 10*k+2, 0, hashBytes(got))
 
-						// Phase 3: tree gather to the same root.
+						// Phase 3: gather to the same root.
 						part := wire.AppendFloat64s(nil, chaosVec(c.Rank(), k+1000, 9))
-						parts, err := c.GatherWith(collective.Binomial, root, part)
+						parts, err := c.Gather(root, part)
 						if err != nil {
 							return fmt.Errorf("round %d gather: %w", k, err)
 						}

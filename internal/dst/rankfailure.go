@@ -68,7 +68,7 @@ func ftRound(c *collective.Comm, k, vecLen int, baseOf []int, out *outcomes) err
 	base := baseOf[c.Rank()]
 
 	in := chaosVec(base, k, vecLen)
-	sum, err := c.AllReduceWith(collective.Ring, in, collective.Sum)
+	sum, err := c.AllReduce(in, collective.Sum)
 	if err != nil {
 		return fmt.Errorf("round %d allreduce: %w", k, err)
 	}
@@ -82,14 +82,14 @@ func ftRound(c *collective.Comm, k, vecLen int, baseOf []int, out *outcomes) err
 			payload[i] = byte(i*31 + k*7)
 		}
 	}
-	got, err := c.BcastWith(collective.Binomial, root, payload)
+	got, err := c.Bcast(root, payload)
 	if err != nil {
 		return fmt.Errorf("round %d bcast: %w", k, err)
 	}
 	out.record(base, 10*k+1, 0, hashBytes(got))
 
 	part := wire.AppendFloat64s(nil, chaosVec(base, k+1000, 7))
-	parts, err := c.GatherWith(collective.Binomial, root, part)
+	parts, err := c.Gather(root, part)
 	if err != nil {
 		return fmt.Errorf("round %d gather: %w", k, err)
 	}
@@ -101,6 +101,14 @@ func ftRound(c *collective.Comm, k, vecLen int, baseOf []int, out *outcomes) err
 		return fmt.Errorf("round %d barrier: %w", k, err)
 	}
 	return nil
+}
+
+// ringTable forces the ring AllReduce whatever the vector size; a Shrink
+// hands it on to the survivor comm.
+func ringTable() *collective.Table {
+	t := collective.DefaultTable()
+	t.AllReduceRingBytes = 0
+	return t
 }
 
 // identityRanks is the base-rank map of an unshrunk comm.
@@ -130,6 +138,7 @@ func RunRankFailure(cfg RankFailureConfig) (*RankFailureResult, error) {
 		net := w.View()
 		defer net.Close()
 
+		table := ringTable()
 		comms := make([]*collective.Comm, cfg.Ranks)
 		disps := make([]*transport.Dispatcher, cfg.Ranks)
 		for r := 0; r < cfg.Ranks; r++ {
@@ -146,6 +155,7 @@ func RunRankFailure(cfg RankFailureConfig) (*RankFailureResult, error) {
 			// fake a death, short enough that real detection is instant wall
 			// time under the driver.
 			c.SetTimeout(2 * time.Second)
+			c.SetTable(table)
 			comms[r] = c
 		}
 
@@ -158,7 +168,7 @@ func RunRankFailure(cfg RankFailureConfig) (*RankFailureResult, error) {
 					// Healthy prefix: full-group AllReduce rounds.
 					for k := 0; k < cfg.PreRounds; k++ {
 						in := chaosVec(r, k, cfg.VecLen)
-						sum, err := c.AllReduceWith(collective.Ring, in, collective.Sum)
+						sum, err := c.AllReduce(in, collective.Sum)
 						if err != nil {
 							return fmt.Errorf("pre round %d: %w", k, err)
 						}
@@ -173,7 +183,7 @@ func RunRankFailure(cfg RankFailureConfig) (*RankFailureResult, error) {
 
 					// The interrupted round: must fail typed, never hang.
 					kill := cfg.PreRounds
-					_, err := c.AllReduceWith(collective.Ring, chaosVec(r, kill, cfg.VecLen), collective.Sum)
+					_, err := c.AllReduce(chaosVec(r, kill, cfg.VecLen), collective.Sum)
 					if err == nil {
 						return fmt.Errorf("round %d allreduce succeeded with rank %d dead", kill, cfg.DeadRank)
 					}
@@ -262,7 +272,7 @@ func RunRankFailureReference(cfg RankFailureConfig) (*RankFailureResult, error) 
 		base := baseOf[c.Rank()]
 		for k := 0; k < cfg.PreRounds; k++ {
 			in := chaosVec(base, k, cfg.VecLen)
-			sum, err := c.AllReduceWith(collective.Ring, in, collective.Sum)
+			sum, err := c.AllReduce(in, collective.Sum)
 			if err != nil {
 				return fmt.Errorf("pre round %d: %w", k, err)
 			}
@@ -303,6 +313,7 @@ func runCalmGroup(seed int64, baseOf []int, body func(c *collective.Comm, baseOf
 		net := w.View()
 		defer net.Close()
 		n := len(baseOf)
+		table := ringTable()
 		comms := make([]*collective.Comm, n)
 		for r := 0; r < n; r++ {
 			ep, err := net.Register(transport.Proc("R", r))
@@ -314,6 +325,7 @@ func runCalmGroup(seed int64, baseOf []int, body func(c *collective.Comm, baseOf
 				return err
 			}
 			c.SetTimeout(2 * time.Second)
+			c.SetTable(table)
 			comms[r] = c
 		}
 		errs := make(chan error, n)

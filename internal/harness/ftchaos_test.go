@@ -149,11 +149,14 @@ func TestChaosKillRank(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ring := collective.DefaultTable()
+			ring.AllReduceRingBytes = 0 // every AllReduce takes the ring
 			for _, c := range g.comms {
 				// The fault pump holds frames after Send returns, so sent
 				// buffers may not be recycled (same contract as the reliable
 				// layer's resend retention).
 				c.SetBufferReuse(false)
+				c.SetTable(ring)
 			}
 			defer g.close()
 			defer func() {
@@ -167,7 +170,7 @@ func TestChaosKillRank(t *testing.T) {
 			err = g.run(func(c *collective.Comm) error {
 				r := c.Rank()
 				for k := 0; k < 2; k++ {
-					got, err := c.AllReduceWith(collective.Ring, exactContrib(r, vecLen), collective.Sum)
+					got, err := c.AllReduce(exactContrib(r, vecLen), collective.Sum)
 					if err != nil {
 						return fmt.Errorf("rank %d healthy round %d: %w", r, k, err)
 					}
@@ -185,7 +188,7 @@ func TestChaosKillRank(t *testing.T) {
 					time.Sleep(20 * time.Millisecond)
 					return g.disps[r].Close()
 				}
-				if _, err := c.AllReduceWith(collective.Ring, exactContrib(r, vecLen), collective.Sum); err == nil {
+				if _, err := c.AllReduce(exactContrib(r, vecLen), collective.Sum); err == nil {
 					return fmt.Errorf("rank %d: collective succeeded with rank %d dead", r, dead)
 				} else if !isFault(err) {
 					return fmt.Errorf("rank %d: untyped failure %w", r, err)
@@ -200,7 +203,7 @@ func TestChaosKillRank(t *testing.T) {
 				if err != nil {
 					return fmt.Errorf("rank %d shrink: %w", r, err)
 				}
-				got, err := nc.AllReduceWith(collective.Ring, exactContrib(r, vecLen), collective.Sum)
+				got, err := nc.AllReduce(exactContrib(r, vecLen), collective.Sum)
 				if err != nil {
 					return fmt.Errorf("rank %d shrunk allreduce: %w", r, err)
 				}

@@ -83,7 +83,11 @@ func (n *MemNetwork) Close() error {
 }
 
 // deliver routes msg to its destination mailbox, blocking if the mailbox is
-// full (providing natural backpressure, like a rendezvous send).
+// full (providing natural backpressure, like a rendezvous send). A
+// destination that closes between the lookup and the hand-off is reported
+// like one that closed before it: ErrUnknownAddr. ErrClosed means the
+// sender's own endpoint is closed, and callers tell a dying peer from their
+// own shutdown by that difference.
 func (n *MemNetwork) deliver(msg Message) error {
 	n.mu.RLock()
 	dst, ok := n.boxes[msg.Dst]
@@ -95,7 +99,7 @@ func (n *MemNetwork) deliver(msg Message) error {
 	case dst.box <- msg:
 		return nil
 	case <-dst.done:
-		return ErrClosed
+		return ErrUnknownAddr
 	}
 }
 

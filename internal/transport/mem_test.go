@@ -93,6 +93,34 @@ func TestMemUnknownAddr(t *testing.T) {
 	}
 }
 
+// TestMemDestinationClosesUnderSender: a Send whose destination closes
+// while the mailbox is full reports ErrUnknownAddr — the address is gone —
+// and never ErrClosed, which callers read as their own endpoint shutting
+// down. Only the first half of Close runs (done closed, address still
+// registered), so whether the sender is already blocked or has yet to look
+// the address up, it meets a full mailbox and a closed destination.
+func TestMemDestinationClosesUnderSender(t *testing.T) {
+	n := NewMemNetworkDepth(1)
+	defer n.Close()
+	a, _ := n.Register(Proc("P", 0))
+	b, _ := n.Register(Proc("P", 1))
+	if err := a.Send(Message{Dst: b.Addr()}); err != nil { // fills the mailbox
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- a.Send(Message{Dst: b.Addr()}) }()
+	be := b.(*memEndpoint)
+	be.closeOne.Do(func() { close(be.done) })
+	select {
+	case err := <-errc:
+		if err != ErrUnknownAddr {
+			t.Errorf("send to closing destination = %v, want ErrUnknownAddr", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Send did not return when its destination closed")
+	}
+}
+
 func TestMemFIFOPerPair(t *testing.T) {
 	n := NewMemNetwork()
 	defer n.Close()

@@ -8,9 +8,11 @@ import (
 
 // Common transport errors.
 var (
-	// ErrClosed is returned by operations on a closed endpoint or network.
+	// ErrClosed is returned by operations on a closed endpoint or network:
+	// the caller's own, never the destination's.
 	ErrClosed = errors.New("transport: endpoint closed")
-	// ErrUnknownAddr is returned when sending to an address nobody registered.
+	// ErrUnknownAddr is returned when sending to an address nobody holds:
+	// never registered, or closed before the message was handed over.
 	ErrUnknownAddr = errors.New("transport: unknown address")
 	// ErrDuplicateAddr is returned when registering an address twice.
 	ErrDuplicateAddr = errors.New("transport: address already registered")
