@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/obsv"
+	"repro/internal/transport"
 )
 
 // forcedTable is how a test forces an algorithm: under it every operation
@@ -74,9 +75,11 @@ var allOps = []struct {
 // TestAllReduceAlgosBitIdentical pits the ring (Rabenseifner) AllReduce
 // against recursive doubling and the sequential oracle across group sizes
 // (including non-powers-of-two), vector lengths (0, 1, odd, smaller than the
-// group, large) and all operators, with buffer reuse both off and on. The
-// ring's per-block fold is a single chain, so with exact-in-float inputs all
-// results must be bitwise identical on every rank.
+// group, large) and all operators, on a transport whose Comms recycle their
+// wire buffers (reuse=true: MemNetwork) and on one whose Comms may not
+// (reuse=false: ReliableNetwork over it). The ring's per-block fold is a
+// single chain, so with exact-in-float inputs all results must be bitwise
+// identical on every rank.
 func TestAllReduceAlgosBitIdentical(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 11, 16} {
 		for _, vecLen := range []int{0, 1, 3, 5, 64, 257} {
@@ -97,8 +100,14 @@ func TestAllReduceAlgosBitIdentical(t *testing.T) {
 						}
 						contribs := in
 						want := oracleFold(contribs, tc.op)
-						runGroup(t, n, func(c *Comm) error {
-							c.SetBufferReuse(reuse)
+						var net transport.Network = transport.NewMemNetwork()
+						if !reuse {
+							net = transport.NewReliableNetwork(net, transport.ReliableConfig{})
+						}
+						runGroupOn(t, net, n, func(c *Comm) error {
+							if c.owned != reuse {
+								return fmt.Errorf("Comm owns its wire buffers: %v, want %v", c.owned, reuse)
+							}
 							rd, err := c.force(RecursiveDoubling).AllReduce(contribs[c.Rank()], tc.op)
 							if err != nil {
 								return err
@@ -250,70 +259,99 @@ func TestAllGatherAllToAllAlgos(t *testing.T) {
 }
 
 // TestNoAliasContracts pins the ownership contract: slices returned by
-// collectives never alias the caller's inputs, so mutating an input after
-// the call cannot corrupt results.
+// collectives alias neither the caller's inputs nor a wire buffer, so
+// mutating an input after the call cannot corrupt results and mutating a
+// result cannot corrupt a later operation's.
 func TestNoAliasContracts(t *testing.T) {
 	const n = 4
 	runGroup(t, n, func(c *Comm) error {
-		part := []byte{byte(c.Rank()), 1, 2, 3}
-		all, err := c.Gather(0, part)
-		if err != nil {
-			return err
-		}
-		part[0] = 0xFF // mutate after the call
-		if c.Rank() == 0 && all[0][0] != 0 {
-			return fmt.Errorf("gather root slot aliases caller part")
-		}
-
-		parts := make([][]byte, n)
-		for r := range parts {
-			parts[r] = []byte{byte(c.Rank()), byte(r)}
-		}
-		out, err := c.AllToAll(parts)
-		if err != nil {
-			return err
-		}
-		parts[c.Rank()][0] = 0xEE
-		if out[c.Rank()][0] != byte(c.Rank()) {
-			return fmt.Errorf("alltoall self-entry aliases caller part")
-		}
-
-		mine := []byte{9, byte(c.Rank())}
-		ag, err := c.AllGather(mine)
-		if err != nil {
-			return err
-		}
-		mine[0] = 0
-		if ag[c.Rank()][0] != 9 {
-			return fmt.Errorf("allgather self-entry aliases caller part")
-		}
-
-		var sparts [][]byte
-		if c.Rank() == 1 {
-			sparts = make([][]byte, n)
-			for r := range sparts {
-				sparts[r] = []byte{byte(r), 7}
+		// Two rounds: the first ends by scribbling over every result, which
+		// must change nothing the second one delivers on any rank.
+		for round := 0; round < 2; round++ {
+			part := []byte{byte(c.Rank()), 1, 2, 3}
+			all, err := c.Gather(0, part)
+			if err != nil {
+				return err
 			}
-		}
-		sp, err := c.Scatter(1, sparts)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 1 {
-			sparts[1][0] = 0xCC
-		}
-		if sp[0] != byte(c.Rank()) {
-			return fmt.Errorf("scatter root part aliases caller slice")
-		}
+			part[0] = 0xFF // mutate after the call
+			for r := 0; c.Rank() == 0 && r < n; r++ {
+				if !bytes.Equal(all[r], []byte{byte(r), 1, 2, 3}) {
+					return fmt.Errorf("round %d: gather slot %d = %v (root slot aliases caller part, or a scribbled result came back)", round, r, all[r])
+				}
+			}
 
-		local := []float64{float64(c.Rank()), 1}
-		res, err := c.AllReduce(local, Sum)
-		if err != nil {
-			return err
-		}
-		local[1] = 99
-		if res[1] != n {
-			return fmt.Errorf("allreduce result aliases local input")
+			parts := make([][]byte, n)
+			for r := range parts {
+				parts[r] = []byte{byte(c.Rank()), byte(r)}
+			}
+			out, err := c.AllToAll(parts)
+			if err != nil {
+				return err
+			}
+			parts[c.Rank()][0] = 0xEE
+			for r := range out {
+				if !bytes.Equal(out[r], []byte{byte(r), byte(c.Rank())}) {
+					return fmt.Errorf("round %d: alltoall entry %d = %v (self-entry aliases caller part, or a scribbled result came back)", round, r, out[r])
+				}
+			}
+
+			mine := []byte{9, byte(c.Rank())}
+			ag, err := c.AllGather(mine)
+			if err != nil {
+				return err
+			}
+			mine[0] = 0
+			for r := range ag {
+				if !bytes.Equal(ag[r], []byte{9, byte(r)}) {
+					return fmt.Errorf("round %d: allgather entry %d = %v (self-entry aliases caller part, or a scribbled result came back)", round, r, ag[r])
+				}
+			}
+
+			var sparts [][]byte
+			if c.Rank() == 1 {
+				sparts = make([][]byte, n)
+				for r := range sparts {
+					sparts[r] = []byte{byte(r), 7}
+				}
+			}
+			sp, err := c.Scatter(1, sparts)
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 1 {
+				sparts[1][0] = 0xCC
+			}
+			if !bytes.Equal(sp, []byte{byte(c.Rank()), 7}) {
+				return fmt.Errorf("round %d: scatter part = %v (root part aliases caller slice, or a scribbled result came back)", round, sp)
+			}
+
+			bc, err := c.Bcast(2, []byte{4, 5, 6})
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(bc, []byte{4, 5, 6}) {
+				return fmt.Errorf("round %d: bcast = %v", round, bc)
+			}
+
+			local := []float64{float64(c.Rank()), 1}
+			res, err := c.AllReduce(local, Sum)
+			if err != nil {
+				return err
+			}
+			local[1] = 99
+			if res[1] != n {
+				return fmt.Errorf("round %d: allreduce result aliases local input", round)
+			}
+
+			if c.Rank() != 2 {
+				all = append(all, bc) // rank 2's is its own input
+			}
+			for _, p := range append(append(append(all, sp), out...), ag...) {
+				for i := range p {
+					p[i] = 0x5A
+				}
+			}
+			res[0], res[1] = -1, -1
 		}
 		return nil
 	})
@@ -389,7 +427,6 @@ func TestDispatchByTable(t *testing.T) {
 func TestMixedSequenceForcedAlgos(t *testing.T) {
 	const n = 8
 	runGroup(t, n, func(c *Comm) error {
-		c.SetBufferReuse(true)
 		for i := 0; i < 4; i++ {
 			if err := c.Barrier(); err != nil {
 				return err

@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -39,7 +40,6 @@ func newAllocGroup(t *testing.T, size int, fn func(c *Comm) error) *allocGroup {
 			t.Fatal(err)
 		}
 		g.comms[r].SetTimeout(30 * time.Second)
-		g.comms[r].SetBufferReuse(true)
 		g.trigger[r] = make(chan struct{})
 	}
 	for r := 0; r < size; r++ {
@@ -105,8 +105,8 @@ func measureAllocs(t *testing.T, g *allocGroup, iters int) uint64 {
 	return lowest
 }
 
-// TestAllReduceSteadyStateZeroAlloc pins the zero-allocation hot path: with
-// buffer reuse on over the in-memory transport, steady-state in-place
+// TestAllReduceSteadyStateZeroAlloc pins the zero-allocation hot path: on a
+// plain New over the in-memory transport, steady-state in-place
 // AllReduce (both algorithms) performs no heap allocations — no per-round
 // tag strings, no encode buffers, no timer, no queue churn. This is the
 // allocs-per-op regression test for the satellite "fix per-round tag
@@ -201,5 +201,39 @@ func TestBarrierSteadyStateZeroAlloc(t *testing.T) {
 	mallocs := measureAllocs(t, g, 50)
 	if mallocs > 10 {
 		t.Fatalf("steady-state Barrier allocated %d times over 200 ops (want 0)", mallocs)
+	}
+}
+
+// TestScalarSteadyStateZeroAlloc extends the regression to the scalar
+// reductions, which fold through the Comm's one-element vector instead of
+// allocating an input and a result slice per call. The Reduce root rotates:
+// a rooted operation moves frames one way, so with a fixed root the leaves'
+// pools run dry and the root's fills.
+func TestScalarSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const ranks = 4
+	var step [ranks]int
+	g := newAllocGroup(t, ranks, func(c *Comm) error {
+		sum, err := c.AllReduceScalar(float64(c.Rank()), Sum)
+		if err != nil || sum != ranks*(ranks-1)/2 {
+			return fmt.Errorf("AllReduceScalar = %v, %v", sum, err)
+		}
+		step[c.Rank()]++
+		root := step[c.Rank()] % ranks
+		top, err := c.ReduceScalar(root, float64(c.Rank()), Max)
+		if want := float64(ranks - 1); err != nil || (c.Rank() == root && top != want) || (c.Rank() != root && top != 0) {
+			return fmt.Errorf("ReduceScalar to %d at rank %d = %v, %v", root, c.Rank(), top, err)
+		}
+		return nil
+	})
+	defer g.close()
+	for i := 0; i < 16; i++ {
+		g.round(t)
+	}
+	mallocs := measureAllocs(t, g, 50)
+	if mallocs > 10 {
+		t.Fatalf("steady-state scalar reductions allocated %d times over 400 ops (want 0)", mallocs)
 	}
 }

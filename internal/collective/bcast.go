@@ -16,9 +16,9 @@ const maxBcastSegs = 60000
 // full-payload copy per level.
 //
 // On the root, data is the source and is returned as-is; on other ranks the
-// received copy is returned (never aliasing any forwarded buffer) and data
-// is ignored. Only the root consults the algorithm choice: the wire format
-// is self-describing (segment 0 carries total length and segment size), so
+// received copy is returned (aliasing no wire buffer) and data is ignored.
+// Only the root consults the algorithm choice: the wire format is
+// self-describing (segment 0 carries total length and segment size), so
 // receivers adapt to whatever the root chose.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 	algo := Binomial
@@ -40,20 +40,28 @@ func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
 // size, both uint32, so receivers can size the result and count segments.
 const bcastPrefixLen = 8
 
+// bcastTree is one rank's place in a broadcast's binomial tree: its children
+// are rel+m for m = mask>>1, mask>>2, ... inside the group, largest first.
+type bcastTree struct {
+	seq             uint32
+	root, rel, mask int
+	total, segSize  int
+}
+
 // bcast returns the broadcast payload and the algorithm that carried it.
 func (c *Comm) bcast(seq uint32, root int, data []byte) ([]byte, Algo, error) {
-	rel := (c.rank - root + c.size) % c.size
-	if rel == 0 {
-		algo, err := c.bcastRoot(seq, root, data)
+	t := bcastTree{seq: seq, root: root, rel: (c.rank - root + c.size) % c.size}
+	if t.rel == 0 {
+		algo, err := c.bcastRoot(t, data)
 		return data, algo, err
 	}
 
 	// Find the binomial parent: the peer across this rank's lowest set bit.
-	mask := 1
-	for rel&mask == 0 {
-		mask <<= 1
+	t.mask = 1
+	for t.rel&t.mask == 0 {
+		t.mask <<= 1
 	}
-	parent := (rel - mask + root) % c.size
+	parent := (t.rel - t.mask + root) % c.size
 
 	p0, err := c.recv(parent, opBcast, c.hdr(seq, 0, opBcast))
 	if err != nil {
@@ -62,83 +70,35 @@ func (c *Comm) bcast(seq uint32, root int, data []byte) ([]byte, Algo, error) {
 	if len(p0) < c.hlen+bcastPrefixLen {
 		return nil, Binomial, fmt.Errorf("collective: bcast segment 0 payload %d bytes", len(p0))
 	}
-	total := int(binary.LittleEndian.Uint32(p0[c.hlen:]))
-	segSize := int(binary.LittleEndian.Uint32(p0[c.hlen+4:]))
-	nseg := 1
-	if segSize > 0 {
-		nseg = (total + segSize - 1) / segSize
-	}
-	if nseg < 1 {
-		nseg = 1
-	}
-	algo := Binomial
-	if nseg > 1 {
-		algo = BinomialSeg
-	}
+	t.total = int(binary.LittleEndian.Uint32(p0[c.hlen:]))
+	t.segSize = int(binary.LittleEndian.Uint32(p0[c.hlen+4:]))
+	nseg, algo := segments(t.total, t.segSize)
 
-	// Forward before copying: the sends are cheap enqueues and the children
-	// can start their own forwarding while we assemble locally. Forwarded
-	// payloads go out verbatim (same header, multiple recipients), so they
-	// are never recycled and the local result is assembled into a fresh
-	// buffer rather than aliasing them. With diagnosis on, the trailer must
-	// carry this hop's fold word and send time instead of the parent's —
-	// but the received payload may still back a retransmit buffer upstream,
-	// so it is re-stamped on a copy, never in place.
-	hasChild := false
-	for m := mask >> 1; m > 0; m >>= 1 {
-		if rel+m < c.size {
-			hasChild = true
-			break
+	out := make([]byte, t.total)
+	for s, p := 0, p0; ; {
+		body := p[c.hlen:]
+		if s == 0 {
+			body = body[bcastPrefixLen:]
 		}
-	}
-	out := make([]byte, total)
-	forward := func(p []byte) error {
-		if !hasChild {
-			return nil
-		}
-		if c.diagEnabled() {
-			fp := make([]byte, len(p))
-			copy(fp, p)
-			c.stamp(fp)
-			p = fp
-		}
-		for m := mask >> 1; m > 0; m >>= 1 {
-			if rel+m < c.size {
-				if err := c.sendRaw((rel+m+root)%c.size, opBcast, p); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	if err := forward(p0); err != nil {
-		return nil, algo, err
-	}
-	if err := copySeg(out, 0, segSize, total, p0[c.hlen+bcastPrefixLen:]); err != nil {
-		return nil, algo, err
-	}
-	for s := 1; s < nseg; s++ {
-		p, err := c.recv(parent, opBcast, c.hdr(seq, s, opBcast))
-		if err != nil {
+		if err := copySeg(out, s, t.segSize, t.total, body); err != nil {
 			return nil, algo, err
 		}
-		if err := forward(p); err != nil {
+		if err := c.bcastDown(t, s, p, out); err != nil {
 			return nil, algo, err
 		}
-		if err := copySeg(out, s, segSize, total, p[c.hlen:]); err != nil {
+		if s++; s == nseg {
+			return out, algo, nil
+		}
+		if p, err = c.recv(parent, opBcast, c.hdr(seq, s, opBcast)); err != nil {
 			return nil, algo, err
 		}
 	}
-	return out, algo, nil
 }
 
 // bcastRoot sends data down the tree and returns the algorithm it used:
 // BinomialSeg when the table's threshold and segment size split the payload
 // into more than one segment, Binomial otherwise.
-func (c *Comm) bcastRoot(seq uint32, root int, data []byte) (Algo, error) {
-	if c.size == 1 {
-		return Binomial, nil // nobody to send to: build no wire buffers
-	}
+func (c *Comm) bcastRoot(t bcastTree, data []byte) (Algo, error) {
 	total := len(data)
 	segSize := total
 	if total >= c.table.BcastSegBytes {
@@ -147,52 +107,81 @@ func (c *Comm) bcastRoot(seq uint32, root int, data []byte) (Algo, error) {
 	if segSize <= 0 || segSize > total {
 		segSize = total
 	}
-	nseg := 1
-	if segSize > 0 {
-		nseg = (total + segSize - 1) / segSize
-	}
+	nseg, algo := segments(total, segSize)
 	if nseg > maxBcastSegs {
 		segSize = (total + maxBcastSegs - 1) / maxBcastSegs
-		nseg = (total + segSize - 1) / segSize
-	}
-	algo := Binomial
-	if nseg > 1 {
-		algo = BinomialSeg
+		nseg, _ = segments(total, segSize)
 	}
 
-	topmask := 1
-	for topmask < c.size {
-		topmask <<= 1
+	t.total, t.segSize, t.mask = total, segSize, 1
+	for t.mask < c.size {
+		t.mask <<= 1
 	}
 	for s := 0; s < nseg; s++ {
-		lo := s * segSize
-		hi := min(lo+segSize, total)
-		var p []byte
-		if s == 0 {
-			p = make([]byte, c.hlen+bcastPrefixLen+hi-lo)
-			putHdr(p, c.hdr(seq, 0, opBcast))
-			binary.LittleEndian.PutUint32(p[c.hlen:], uint32(total))
-			binary.LittleEndian.PutUint32(p[c.hlen+4:], uint32(segSize))
-			copy(p[c.hlen+bcastPrefixLen:], data[lo:hi])
-		} else {
-			p = make([]byte, c.hlen+hi-lo)
-			putHdr(p, c.hdr(seq, s, opBcast))
-			copy(p[c.hlen:], data[lo:hi])
-		}
-		if c.diagEnabled() {
-			// Stamped once, before the first send, while exclusively owned.
-			c.stamp(p)
-		}
-		// Largest subtree first, so the deepest chain starts earliest.
-		for m := topmask >> 1; m > 0; m >>= 1 {
-			if m < c.size {
-				if err := c.sendRaw((m+root)%c.size, opBcast, p); err != nil {
-					return algo, err
-				}
-			}
+		if err := c.bcastDown(t, s, nil, data); err != nil {
+			return algo, err
 		}
 	}
 	return algo, nil
+}
+
+// bcastDown sends segment s to this rank's children. frame is the frame it
+// arrived in (nil on the root), src the payload, which already holds its
+// body. On an owning Comm every child recycles what it receives, so each
+// gets a frame of its own: the first the received one, handed on, the
+// others pooled ones built from src; a leaf recycles. Otherwise one frame
+// serves every child. With diagnosis on a forwarded frame carries this hop's
+// fold word and send time — stamped in place when the frame is ours alone,
+// on a copy when the transport may still hold it (a retransmit buffer).
+func (c *Comm) bcastDown(t bcastTree, s int, frame, src []byte) error {
+	restamp := frame != nil && c.diagEnabled()
+	for m := t.mask >> 1; m > 0; m >>= 1 {
+		if t.rel+m >= c.size {
+			continue
+		}
+		if frame == nil {
+			frame = c.bcastFrame(t, s, src)
+		} else if restamp {
+			if !c.owned {
+				frame = copyBytes(frame)
+			}
+			c.stamp(frame)
+		}
+		restamp = false
+		if err := c.sendRaw((t.rel+m+t.root)%c.size, opBcast, frame); err != nil {
+			return err
+		}
+		if c.owned {
+			frame = nil // the child's now
+		}
+	}
+	c.recycle(frame)
+	return nil
+}
+
+// bcastFrame builds segment s's frame from the whole payload.
+func (c *Comm) bcastFrame(t bcastTree, s int, payload []byte) []byte {
+	lo := s * t.segSize
+	body := payload[lo:min(lo+t.segSize, t.total)]
+	if s > 0 {
+		p := c.frame(c.hdr(t.seq, s, opBcast), len(body))
+		copy(p[c.hlen:], body)
+		return p
+	}
+	p := c.frame(c.hdr(t.seq, 0, opBcast), bcastPrefixLen+len(body))
+	binary.LittleEndian.PutUint32(p[c.hlen:], uint32(t.total))
+	binary.LittleEndian.PutUint32(p[c.hlen+4:], uint32(t.segSize))
+	copy(p[c.hlen+bcastPrefixLen:], body)
+	return p
+}
+
+// segments counts the segSize-byte segments of total bytes (at least one)
+// and names the algorithm: BinomialSeg past one segment.
+func segments(total, segSize int) (int, Algo) {
+	if segSize <= 0 || total <= segSize {
+		return 1, Binomial
+	}
+	return (total + segSize - 1) / segSize, BinomialSeg
 }
 
 // copySeg places a received segment body into the assembled result,

@@ -16,7 +16,13 @@ import (
 // on every rank concurrently, failing the test on any returned error.
 func runGroup(t *testing.T, size int, fn func(c *Comm) error) {
 	t.Helper()
-	net := transport.NewMemNetwork()
+	runGroupOn(t, transport.NewMemNetwork(), size, fn)
+}
+
+// runGroupOn is runGroup over a network of the caller's choosing, which it
+// closes.
+func runGroupOn(t *testing.T, net transport.Network, size int, fn func(c *Comm) error) {
+	t.Helper()
 	defer net.Close()
 	comms := make([]*Comm, size)
 	for r := 0; r < size; r++ {

@@ -12,13 +12,17 @@
 // The engine is multi-algorithm: each operation carries a latency-optimal and
 // a bandwidth-optimal implementation (see algo.go), dispatched per call on
 // (group size, vector bytes) through the Comm's Table, the only selector.
-// Result slices returned by collectives never alias the caller's input
-// slices.
+//
+// Buffer ownership (docs/COLLECTIVES.md): a slice a collective returns
+// aliases neither an input nor a wire buffer, and a wire buffer is recycled
+// only by the one rank that received it, and only where the transport says
+// that rank holds it exclusively (Endpoint.RecvExclusive, read once by New).
 package collective
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"repro/internal/obsv/diag"
@@ -32,8 +36,22 @@ import (
 // legitimately drift apart by long compute phases, so this is generous.
 const DefaultTimeout = 60 * time.Second
 
-// maxFreeBuffers bounds the per-Comm recycled-buffer list.
-const maxFreeBuffers = 32
+// poolMaxBytes bounds the bytes one Comm parks; a request examines the
+// poolProbe newest buffers of its size class (at steady state the newest
+// fits); poisonByte fills recycled buffers in race builds.
+const (
+	poolMaxBytes = 16 << 20
+	poolProbe    = 4
+	poisonByte   = 0xDB
+)
+
+// pool parks wire buffers by size class: class k holds capacities in
+// [2^k, 2^(k+1)) and a request looks only in its own class, so it never
+// receives over twice what it asked for. The first recycle makes the table.
+type pool struct {
+	class [][][]byte
+	held  int // sum of parked capacities
+}
 
 // defaultPendingCap bounds the parked out-of-order frame list: frames from a
 // failed or stale rank must not accumulate forever, so past the cap the
@@ -87,14 +105,12 @@ type Comm struct {
 	agreeSeq   uint32
 	pendingCap int
 
-	// reuse enables the zero-allocation hot path: send buffers come from
-	// free, and received float-operation payloads — whose ownership
-	// transfers to this rank at delivery — are recycled into it. Safe only
-	// on transports that neither retain sent payloads (resend buffers) nor
-	// deliver one payload to multiple endpoints; see SetBufferReuse.
-	reuse    bool
-	free     [][]byte
+	// owned is Dispatcher.RecvExclusive: a received payload is this rank's
+	// alone, so every send draws from pool and every receive refills it.
+	owned    bool
+	pool     pool
 	fscratch []float64
+	one      [1]float64 // the scalar reductions' vector
 
 	ins *Instruments
 
@@ -119,6 +135,7 @@ func New(d *transport.Dispatcher, program string, rank, size int) (*Comm, error)
 	}
 	return &Comm{
 		d: d, program: program, rank: rank, size: size,
+		owned:      d.RecvExclusive(),
 		timeout:    DefaultTimeout,
 		table:      DefaultTable(),
 		hlen:       hdrLen,
@@ -140,8 +157,12 @@ func (c *Comm) Program() string { return c.program }
 func (c *Comm) SetTimeout(d time.Duration) { c.timeout = d }
 
 // SetInstruments attaches per-op/per-algorithm latency histograms (nil
-// detaches).
-func (c *Comm) SetInstruments(ins *Instruments) { c.ins = ins }
+// detaches); the bytes this Comm has parked move to the new pool gauge.
+func (c *Comm) SetInstruments(ins *Instruments) {
+	c.ins.pooled(0, 0, -c.pool.held)
+	ins.pooled(0, 0, c.pool.held)
+	c.ins = ins
+}
 
 // Instruments returns the attached instruments (possibly nil).
 func (c *Comm) Instruments() *Instruments { return c.ins }
@@ -160,44 +181,48 @@ func (c *Comm) SetTable(t *Table) {
 	c.table = t
 }
 
-// SetBufferReuse turns on the allocation-free hot path: wire buffers for
-// collective sends are drawn from a per-Comm free list refilled with the
-// payloads of received float-vector messages, whose ownership transfers to
-// the receiver at delivery.
-//
-// This is safe on the plain in-memory transport, where a payload is passed
-// by reference to exactly one receiver and the sender never touches it
-// again. It is NOT safe under transports that retain sent payloads — the
-// reliable layer keeps them for retransmission until acked — so it defaults
-// to off; benchmarks and single-process in-memory deployments opt in.
-func (c *Comm) SetBufferReuse(on bool) {
-	c.reuse = on
-	if !on {
-		c.free = nil
-	}
-}
-
-// buf returns a byte slice of length n, from the free list when reuse is on.
+// buf returns a wire buffer of length n > 0 for the caller to overwrite: on
+// an owning Comm the newest pooled one of n's class that fits, else fresh.
 func (c *Comm) buf(n int) []byte {
-	if c.reuse {
-		for i := len(c.free) - 1; i >= 0; i-- {
-			if cap(c.free[i]) >= n {
-				b := c.free[i][:n]
-				c.free = append(c.free[:i], c.free[i+1:]...)
-				return b
+	if !c.owned {
+		return make([]byte, n)
+	}
+	if k := bits.Len(uint(n)) - 1; k < len(c.pool.class) {
+		s := c.pool.class[k]
+		for i := len(s) - 1; i >= 0 && i >= len(s)-poolProbe; i-- {
+			if b := s[i]; cap(b) >= n {
+				s[i], s[len(s)-1] = s[len(s)-1], nil
+				c.pool.class[k] = s[:len(s)-1]
+				c.pool.held -= cap(b)
+				c.ins.pooled(1, 0, -cap(b))
+				return b[:n]
 			}
 		}
 	}
+	c.ins.pooled(0, 1, 0)
 	return make([]byte, n)
 }
 
-// recycle returns a received payload to the free list. Only call with
-// buffers this rank exclusively owns (point-to-point float-op payloads).
+// recycle parks a frame this rank received and has finished reading. Race
+// builds poison it first, so a result or a later send that still aliases it
+// reads garbage and fails its test instead of passing by luck.
 func (c *Comm) recycle(b []byte) {
-	if !c.reuse || cap(b) == 0 || len(c.free) >= maxFreeBuffers {
+	if !c.owned || cap(b) == 0 || c.pool.held+cap(b) > poolMaxBytes {
 		return
 	}
-	c.free = append(c.free, b)
+	if raceEnabled {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
+	if c.pool.class == nil {
+		c.pool.class = make([][][]byte, bits.UintSize)
+	}
+	k := bits.Len(uint(cap(b))) - 1
+	c.pool.class[k] = append(c.pool.class[k], b)
+	c.pool.held += cap(b)
+	c.ins.pooled(0, 0, cap(b))
 }
 
 // scratch returns the reused float64 decode buffer, valid until the next
@@ -276,11 +301,11 @@ func (c *Comm) run(op opID, algo *Algo, body func(seq uint32) error) error {
 }
 
 // sendRaw sends a preassembled payload (already carrying its header) to
-// another rank. Used when forwarding a received broadcast payload verbatim;
-// the payload may reach several ranks, so it must never be recycled. A
-// transport that knows the destination is gone (raw in-memory endpoints
-// report ErrUnknownAddr; the reliable layer absorbs errors into its resend
-// loop) turns into an immediate suspicion instead of a generic send error.
+// another rank and gives it up: on an owning Comm the receiver recycles it,
+// so one payload goes to one rank only. A transport that knows the
+// destination is gone (raw in-memory endpoints report ErrUnknownAddr; the
+// reliable layer absorbs errors into its resend loop) turns into an
+// immediate suspicion instead of a generic send error.
 func (c *Comm) sendRaw(to int, op opID, payload []byte) error {
 	err := c.d.Send(transport.Message{
 		Kind:    transport.KindCollective,
@@ -295,32 +320,33 @@ func (c *Comm) sendRaw(to int, op opID, payload []byte) error {
 	return err
 }
 
-// sendBytes sends header h (plus the diagnosis trailer when attached)
-// followed by body.
-func (c *Comm) sendBytes(to int, op opID, h uint64, body []byte) error {
-	b := c.buf(c.hlen + len(body))
+// frame returns a wire buffer for n body bytes, header h and trailer written.
+func (c *Comm) frame(h uint64, n int) []byte {
+	b := c.buf(c.hlen + n)
 	putHdr(b, h)
 	if c.hlen != hdrLen {
 		c.stamp(b)
 	}
+	return b
+}
+
+// sendBytes sends header h followed by body.
+func (c *Comm) sendBytes(to int, op opID, h uint64, body []byte) error {
+	b := c.frame(h, len(body))
 	copy(b[c.hlen:], body)
 	return c.sendRaw(to, op, b)
 }
 
 // sendFloats sends header h followed by the flat float64 encoding of vals.
 func (c *Comm) sendFloats(to int, op opID, h uint64, vals []float64) error {
-	b := c.buf(c.hlen + wire.Float64sSize(len(vals)))
-	putHdr(b, h)
-	if c.hlen != hdrLen {
-		c.stamp(b)
-	}
+	b := c.frame(h, wire.Float64sSize(len(vals)))
 	wire.AppendFloat64s(b[:c.hlen], vals)
 	return c.sendRaw(to, op, b)
 }
 
 // recv receives the collective payload with header h from rank from,
 // buffering any other collective traffic that arrives first. The returned
-// slice includes the header; the caller owns it.
+// slice includes the header; the caller owns it and recycles it once read.
 //
 // Failure semantics: a revoked Comm fails immediately with ErrRevoked, as
 // does the arrival of a current-epoch revocation frame; a deadline expiry

@@ -736,7 +736,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 		timeout: c.timeout, table: c.table,
 		epoch: c.epoch + 1, peers: newPeers,
 		pendingCap: c.pendingCap, pending: newPending(len(newPeers), c.pendingCap),
-		reuse: c.reuse, free: c.free, fscratch: c.fscratch,
+		owned: c.owned, pool: c.pool, fscratch: c.fscratch,
 		ins: c.ins, hlen: c.hlen, board: c.board, flight: c.flight, dclk: c.dclk,
 		timer: c.timer, clk: c.clk, armedAt: c.armedAt,
 	}
@@ -767,7 +767,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 	// Poison the parent so stray use fails instead of stealing the
 	// successor's frames off the shared dispatcher.
 	c.revoked = true
-	c.pending, c.pointPending, c.free, c.fscratch, c.timer = nil, nil, nil, nil, nil
+	c.pending, c.pointPending, c.pool, c.fscratch, c.timer = nil, nil, pool{}, nil, nil
 	nc.ins.incFailure(ctrShrinks)
 	nc.recordFT(diag.KindShrink, int64(nc.epoch), int64(nc.size), fmt.Sprintf("%d->%d", c.rank, newRank))
 	return nc, nil

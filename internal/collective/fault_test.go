@@ -405,25 +405,40 @@ func TestShrinkAndContinue(t *testing.T) {
 	// survivor-subset sum of rank+1 values
 	const wantSum = 1 + 2 + 4 + 5
 
+	// The victim dies only once every rank has left the healthy steps: a
+	// survivor that detects the crash at once revokes at once, and the flood
+	// would otherwise catch a slower rank still waiting in healthy step 1
+	// (the odd rank of the remainder pair waits for its partner's post-fold),
+	// which then sits the agreement out and is agreed dead too.
+	var healthy sync.WaitGroup
+	healthy.Add(n)
 	errs := runRanks(comms, all, func(c *Comm) error {
 		// Two healthy steps with the full group.
-		for i := 0; i < 2; i++ {
-			got, err := c.AllReduceScalar(float64(c.Rank()+1), Sum)
-			if err != nil {
-				return fmt.Errorf("healthy step %d: %w", i, err)
+		err := func() error {
+			defer healthy.Done()
+			for i := 0; i < 2; i++ {
+				got, err := c.AllReduceScalar(float64(c.Rank()+1), Sum)
+				if err != nil {
+					return fmt.Errorf("healthy step %d: %w", i, err)
+				}
+				if got != 1+2+3+4+5 {
+					return fmt.Errorf("healthy step %d: sum %v", i, got)
+				}
 			}
-			if got != 1+2+3+4+5 {
-				return fmt.Errorf("healthy step %d: sum %v", i, got)
-			}
+			return nil
+		}()
+		if err != nil {
+			return err
 		}
 		if c.Rank() == dead {
 			// Crash: the address disappears mid-step for everyone else.
+			healthy.Wait()
 			return disps[dead].Close()
 		}
 		// The interrupted step fails with a typed suspicion or a revocation
 		// raced from a faster-detecting survivor.
 		interrupted := time.Now()
-		_, err := c.AllReduceScalar(float64(c.Rank()+1), Sum)
+		_, err = c.AllReduceScalar(float64(c.Rank()+1), Sum)
 		if err == nil {
 			return errors.New("step with dead rank succeeded")
 		}
@@ -817,7 +832,6 @@ func TestShrunkSteadyStateZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.SetTimeout(30 * time.Second)
-		c.SetBufferReuse(true)
 		// Every survivor shrinks with the identical agreed set; no agreement
 		// round needed when the set is known (as after AgreeFailures).
 		nc, err := c.Shrink([]int{dead})

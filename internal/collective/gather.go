@@ -2,10 +2,8 @@ package collective
 
 // Byte-slice collectives. Parts may have different sizes per rank, so
 // algorithm dispatch keys on group size alone (identical on every rank).
-// Returned slices never alias the caller's inputs: a root's own Gather
-// entry, a Scatter root's part and an AllToAll self-entry are copies, so
-// mutating an input after the call cannot corrupt the result (and vice
-// versa).
+// A result aliases neither the caller's inputs nor a wire buffer (own), so
+// mutating an input or a result after the call cannot corrupt anything.
 
 // sendParts sends part(r) to every other rank r under one header. The
 // dispatcher's unbounded queues make the eager sends deadlock-free.
@@ -21,9 +19,9 @@ func (c *Comm) sendParts(op opID, h uint64, part func(r int) []byte) error {
 	return nil
 }
 
-// recvParts receives every other rank r's payload under one header into
-// out[r].
-func (c *Comm) recvParts(op opID, h uint64, out [][]byte) error {
+// recvParts receives every other rank r's frame under one header into
+// out[r] and makes out, with mine as this rank's entry, the caller's result.
+func (c *Comm) recvParts(op opID, h uint64, out [][]byte, mine []byte) error {
 	for r := 0; r < c.size; r++ {
 		if r == c.rank {
 			continue
@@ -32,9 +30,32 @@ func (c *Comm) recvParts(op opID, h uint64, out [][]byte) error {
 		if err != nil {
 			return err
 		}
-		out[r] = p[c.hlen:]
+		out[r] = p
 	}
+	c.own(out, mine)
 	return nil
+}
+
+// own turns received frames (every entry but this rank's) into the caller's
+// result in place: mine and the frames' bodies go into one allocation, each
+// part capped at its length, and the frames are recycled.
+func (c *Comm) own(frames [][]byte, mine []byte) {
+	frames[c.rank] = mine
+	total := c.hlen // mine has no header
+	for _, p := range frames {
+		total += len(p) - c.hlen
+	}
+	all := make([]byte, 0, total)
+	for r, p := range frames {
+		off := len(all)
+		if r == c.rank {
+			all = append(all, p...)
+		} else {
+			all = append(all, p[c.hlen:]...)
+			c.recycle(p)
+		}
+		frames[r] = all[off:len(all):len(all)]
+	}
 }
 
 // Gather collects each rank's part at root with the linear root loop. At
@@ -52,8 +73,7 @@ func (c *Comm) Gather(root int, part []byte) ([][]byte, error) {
 			return c.sendBytes(root, opGather, h, part)
 		}
 		out = make([][]byte, c.size)
-		out[root] = copyBytes(part)
-		return c.recvParts(opGather, h, out)
+		return c.recvParts(opGather, h, out, part)
 	})
 	if err != nil {
 		return nil, err
@@ -77,7 +97,8 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 			if err != nil {
 				return err
 			}
-			out = p[c.hlen:]
+			out = copyBytes(p[c.hlen:])
+			c.recycle(p)
 			return nil
 		}
 		if len(parts) != c.size {
@@ -101,15 +122,14 @@ func (c *Comm) AllGather(part []byte) ([][]byte, error) {
 	var out [][]byte
 	err := c.run(opAllGather, &algo, func(seq uint32) error {
 		out = make([][]byte, c.size)
-		out[c.rank] = copyBytes(part)
 		if algo == Ring {
-			return c.allGatherRing(seq, out)
+			return c.allGatherRing(seq, part, out)
 		}
 		h := c.hdr(seq, 0, opAllGather)
 		if err := c.sendParts(opAllGather, h, func(int) []byte { return part }); err != nil {
 			return err
 		}
-		return c.recvParts(opAllGather, h, out)
+		return c.recvParts(opAllGather, h, out, part)
 	})
 	if err != nil {
 		return nil, err
@@ -117,23 +137,25 @@ func (c *Comm) AllGather(part []byte) ([][]byte, error) {
 	return out, nil
 }
 
-func (c *Comm) allGatherRing(seq uint32, out [][]byte) error {
+func (c *Comm) allGatherRing(seq uint32, part []byte, out [][]byte) error {
 	right := (c.rank + 1) % c.size
 	left := (c.rank - 1 + c.size) % c.size
-	// In step s we forward the block that originated at rank-s (mod n).
+	// In step s we forward the block that originated at rank-s (mod n): our
+	// own part first, then the body of the frame the previous step received.
+	block := part
 	for s := 0; s < c.size-1; s++ {
 		h := c.hdr(seq, s, opAllGather)
-		sendOrigin := (c.rank - s + c.size) % c.size
-		if err := c.sendBytes(right, opAllGather, h, out[sendOrigin]); err != nil {
+		if err := c.sendBytes(right, opAllGather, h, block); err != nil {
 			return err
 		}
 		p, err := c.recv(left, opAllGather, h)
 		if err != nil {
 			return err
 		}
-		recvOrigin := (c.rank - s - 1 + c.size) % c.size
-		out[recvOrigin] = p[c.hlen:]
+		out[(c.rank-s-1+c.size)%c.size] = p
+		block = p[c.hlen:]
 	}
+	c.own(out, part)
 	return nil
 }
 
@@ -150,7 +172,6 @@ func (c *Comm) AllToAll(parts [][]byte) ([][]byte, error) {
 			return errPartCount("AllToAll", len(parts), c.size)
 		}
 		out = make([][]byte, c.size)
-		out[c.rank] = copyBytes(parts[c.rank])
 		if algo == Pairwise {
 			return c.allToAllPairwise(seq, parts, out)
 		}
@@ -158,7 +179,7 @@ func (c *Comm) AllToAll(parts [][]byte) ([][]byte, error) {
 		if err := c.sendParts(opAllToAll, h, func(r int) []byte { return parts[r] }); err != nil {
 			return err
 		}
-		return c.recvParts(opAllToAll, h, out)
+		return c.recvParts(opAllToAll, h, out, parts[c.rank])
 	})
 	if err != nil {
 		return nil, err
@@ -178,8 +199,9 @@ func (c *Comm) allToAllPairwise(seq uint32, parts, out [][]byte) error {
 		if err != nil {
 			return err
 		}
-		out[from] = p[c.hlen:]
+		out[from] = p
 	}
+	c.own(out, parts[c.rank])
 	return nil
 }
 

@@ -46,6 +46,11 @@ type Instruments struct {
 	// agree → revoke → shrink pipeline plus the pending-list hygiene
 	// counters (evictions past the cap, stale-epoch frame drops).
 	failures [numFailureCtrs]*obsv.Counter
+
+	// Wire-buffer pool ("collective.pool.{hits,misses,bytes}"): sends the
+	// pools served, sends that allocated, bytes parked now (all Comms).
+	poolHits, poolMisses *obsv.Counter
+	poolBytes            *obsv.Gauge
 }
 
 // Failure-counter indices (names in failureCtrNames).
@@ -71,6 +76,16 @@ func (ins *Instruments) incFailure(ctr int) {
 		return
 	}
 	ins.failures[ctr].Inc()
+}
+
+// pooled counts wire-buffer requests the pool served (hit) and ones that
+// allocated (miss), and moves the parked-bytes gauge.
+func (ins *Instruments) pooled(hit, miss uint64, bytes int) {
+	if ins != nil {
+		ins.poolHits.Add(hit)
+		ins.poolMisses.Add(miss)
+		ins.poolBytes.Add(int64(bytes))
+	}
 }
 
 // FailureCount returns one fault-tolerance counter's value.
@@ -112,6 +127,9 @@ func NewInstruments(reg *obsv.Registry, program string) *Instruments {
 	for i, name := range failureCtrNames {
 		ins.failures[i] = reg.Counter("collective.failures."+name, obsv.L("program", program))
 	}
+	ins.poolHits = reg.Counter("collective.pool.hits", obsv.L("program", program))
+	ins.poolMisses = reg.Counter("collective.pool.misses", obsv.L("program", program))
+	ins.poolBytes = reg.Gauge("collective.pool.bytes", obsv.L("program", program))
 	return ins
 }
 

@@ -15,14 +15,22 @@ func errBadRoot(op string, root, size int) error {
 // the same length. The result is returned at root; other ranks get nil. The
 // local slice is not modified.
 func (c *Comm) Reduce(root int, local []float64, op Op) ([]float64, error) {
+	acc := make([]float64, len(local))
+	copy(acc, local)
+	if err := c.reduceInPlace(root, acc, op); err != nil || c.rank != root {
+		return nil, err
+	}
+	return acc, nil
+}
+
+// reduceInPlace is Reduce folding into acc, which holds the result at root
+// and a partial reduction elsewhere.
+func (c *Comm) reduceInPlace(root int, acc []float64, op Op) error {
 	algo := Binomial
-	var acc []float64
-	err := c.run(opReduce, &algo, func(seq uint32) error {
+	return c.run(opReduce, &algo, func(seq uint32) error {
 		if root < 0 || root >= c.size {
 			return errBadRoot("Reduce", root, c.size)
 		}
-		acc = make([]float64, len(local))
-		copy(acc, local)
 		rel := (c.rank - root + c.size) % c.size
 		round := 0
 		for mask := 1; mask < c.size; mask <<= 1 {
@@ -38,18 +46,12 @@ func (c *Comm) Reduce(root int, local []float64, op Op) ([]float64, error) {
 				}
 			} else {
 				peer := (rel - mask + root) % c.size
-				err := c.sendFloats(peer, opReduce, c.hdr(seq, round, opReduce), acc)
-				acc = nil // contribution handed off; done
-				return err
+				return c.sendFloats(peer, opReduce, c.hdr(seq, round, opReduce), acc)
 			}
 			round++
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return acc, nil
 }
 
 // AllReduce folds every rank's local slice and returns the result on all
@@ -69,7 +71,7 @@ func (c *Comm) AllReduce(local []float64, op Op) ([]float64, error) {
 }
 
 // AllReduceInPlace is AllReduce folding the result into vals, avoiding the
-// result allocation: with buffer reuse enabled on the in-memory transport
+// result allocation: on a transport whose received payloads are exclusive
 // the steady-state cost is zero allocations per operation.
 func (c *Comm) AllReduceInPlace(vals []float64, op Op) error {
 	algo := c.table.allReduceAlgo(c.size, wire.Float64sSize(len(vals)))
@@ -168,18 +170,18 @@ func (c *Comm) rdAllReduce(seq uint32, acc []float64, op Op) error {
 
 // ReduceScalar reduces a single float64 to root (result valid at root only).
 func (c *Comm) ReduceScalar(root int, v float64, op Op) (float64, error) {
-	res, err := c.Reduce(root, []float64{v}, op)
-	if err != nil || res == nil {
+	c.one[0] = v
+	if err := c.reduceInPlace(root, c.one[:], op); err != nil || c.rank != root {
 		return 0, err
 	}
-	return res[0], nil
+	return c.one[0], nil
 }
 
 // AllReduceScalar reduces a single float64 and returns it everywhere.
 func (c *Comm) AllReduceScalar(v float64, op Op) (float64, error) {
-	res, err := c.AllReduce([]float64{v}, op)
-	if err != nil {
+	c.one[0] = v
+	if err := c.AllReduceInPlace(c.one[:], op); err != nil {
 		return 0, err
 	}
-	return res[0], nil
+	return c.one[0], nil
 }

@@ -256,6 +256,10 @@ type viewEndpoint struct {
 
 func (e *viewEndpoint) Addr() transport.Addr { return e.inner.Addr() }
 
+// RecvExclusive is false: an injector promises nothing about the payloads
+// it lets through.
+func (e *viewEndpoint) RecvExclusive() bool { return false }
+
 // Send draws the message's fate: erased, scheduled for a future virtual
 // instant, or delivered immediately. Drops and delays report success to the
 // caller — from the sender's point of view the message left; whether it

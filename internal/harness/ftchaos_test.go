@@ -152,10 +152,6 @@ func TestChaosKillRank(t *testing.T) {
 			ring := collective.DefaultTable()
 			ring.AllReduceRingBytes = 0 // every AllReduce takes the ring
 			for _, c := range g.comms {
-				// The fault pump holds frames after Send returns, so sent
-				// buffers may not be recycled (same contract as the reliable
-				// layer's resend retention).
-				c.SetBufferReuse(false)
 				c.SetTable(ring)
 			}
 			defer g.close()

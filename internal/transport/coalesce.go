@@ -370,6 +370,10 @@ type coalescingEndpoint struct {
 
 func (e *coalescingEndpoint) Addr() Addr { return e.inner.Addr() }
 
+// RecvExclusive is false: the items of one batch are windows of the same
+// envelope payload, delivered to different endpoints.
+func (e *coalescingEndpoint) RecvExclusive() bool { return false }
+
 // Send implements Endpoint: small messages join the shared per-program
 // batch, bulk ones flush it and pass through.
 func (e *coalescingEndpoint) Send(msg Message) error {

@@ -170,6 +170,10 @@ func (d *Dispatcher) Addr() Addr { return d.ep.Addr() }
 // Send forwards to the underlying endpoint.
 func (d *Dispatcher) Send(msg Message) error { return d.ep.Send(msg) }
 
+// RecvExclusive passes the endpoint's answer up: the queues hold a message
+// until one receiver pops it and keep nothing after.
+func (d *Dispatcher) RecvExclusive() bool { return d.ep.RecvExclusive() }
+
 func (d *Dispatcher) queue(kind Kind) *queue {
 	d.mu.Lock()
 	defer d.mu.Unlock()

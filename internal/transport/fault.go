@@ -198,6 +198,10 @@ func (e *faultEndpoint) pump() {
 
 func (e *faultEndpoint) Addr() Addr { return e.inner.Addr() }
 
+// RecvExclusive is false: an injector promises nothing about the payloads
+// it lets through.
+func (e *faultEndpoint) RecvExclusive() bool { return false }
+
 func (e *faultEndpoint) Send(msg Message) error {
 	select {
 	case <-e.done:

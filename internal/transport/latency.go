@@ -123,6 +123,10 @@ func (e *latencyEndpoint) pump() {
 
 func (e *latencyEndpoint) Addr() Addr { return e.inner.Addr() }
 
+// RecvExclusive is false: an injector promises nothing about the payloads
+// it lets through.
+func (e *latencyEndpoint) RecvExclusive() bool { return false }
+
 func (e *latencyEndpoint) Send(msg Message) error {
 	select {
 	case <-e.done:

@@ -126,6 +126,10 @@ type memEndpoint struct {
 
 func (e *memEndpoint) Addr() Addr { return e.addr }
 
+// RecvExclusive is true: deliver puts the sender's slice in one mailbox and
+// the network keeps nothing.
+func (e *memEndpoint) RecvExclusive() bool { return true }
+
 func (e *memEndpoint) Send(msg Message) error {
 	select {
 	case <-e.done:

@@ -30,6 +30,12 @@ type Network interface {
 }
 
 // Endpoint is one process's (or rep's) attachment to the network.
+//
+// Payload ownership. A sender gives msg.Payload up at Send and never reads
+// or writes it again. What the receiver may do with a delivered payload is
+// the endpoint's to state (RecvExclusive): on an exclusive endpoint the
+// bytes are referenced by the receiver alone, so it may overwrite them or
+// send them on as its own; on any other it may only read them.
 type Endpoint interface {
 	// Addr returns the address this endpoint was registered under.
 	Addr() Addr
@@ -40,6 +46,18 @@ type Endpoint interface {
 	Recv() (Message, error)
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout on expiry.
 	RecvTimeout(d time.Duration) (Message, error)
+	// RecvExclusive reports whether every payload Recv returns is held by
+	// nothing but the returned message: the network keeps no reference to it
+	// (no retransmit buffer, no delayed duplicate), delivers it to no second
+	// endpoint, and it shares its array with no other delivery. The two
+	// backends say yes — MemNetwork passes the sender's slice to exactly one
+	// mailbox, TCP copies each payload out of its read buffer — and every
+	// decorator says no: ReliableNetwork retains sent payloads until acked,
+	// CoalescingNetwork delivers windows of one envelope, and the injectors
+	// (FaultNetwork, LatencyNetwork, the DST networks) promise nothing. A
+	// wrapper that only observes traffic passes its inner endpoint's answer
+	// through. The answer is fixed for the endpoint's lifetime.
+	RecvExclusive() bool
 	// Close detaches the endpoint. Pending and future Recv calls return
 	// ErrClosed; messages already queued are discarded.
 	Close() error

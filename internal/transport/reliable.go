@@ -157,6 +157,10 @@ type reliableEndpoint struct {
 
 func (e *reliableEndpoint) Addr() Addr { return e.inner.Addr() }
 
+// RecvExclusive is false: a sent payload stays in the sender's resend buffer
+// until acked, and over MemNetwork that is the array the receiver was given.
+func (e *reliableEndpoint) RecvExclusive() bool { return false }
+
 // Send stamps the pair sequence number, records the message for
 // retransmission, and attempts immediate delivery. Transient transport
 // errors (an unregistered peer, a connection mid-reconnect) are absorbed:

@@ -652,6 +652,10 @@ func (e *tcpEndpoint) resetConn() {
 
 func (e *tcpEndpoint) Addr() Addr { return e.addr }
 
+// RecvExclusive is true: readLoop copies each payload out of the
+// connection's read buffer into an array of its own.
+func (e *tcpEndpoint) RecvExclusive() bool { return true }
+
 func (e *tcpEndpoint) Send(msg Message) error {
 	select {
 	case <-e.done:
