@@ -151,7 +151,7 @@ func run(figure string, gridN, exports, every int, tol float64, buddy bool, runs
 		fmt.Println("network-latency ablation (buddy-help saving vs one-way latency):")
 		fmt.Printf("%-10s %-14s %-16s %s\n", "latency", "memcpys(on)", "memcpys(off)", "saved")
 		for _, pt := range points {
-			fmt.Printf("%-10v %-14d %-16d %d\n", pt.Latency, pt.CopiesWith, pt.CopiesWithout, pt.Saved)
+			fmt.Printf("%-10v %-14d %-16d %d\n", pt.Latency, pt.With.SlowStats.Copies, pt.Without.SlowStats.Copies, pt.CopiesSaved())
 		}
 		return nil
 	}

@@ -53,7 +53,9 @@ func exportWorkers() int {
 
 // Options tunes a Framework.
 type Options struct {
-	// Network supplies the transport; nil means a fresh in-memory network.
+	// Network supplies the transport, composed by the caller in the one legal
+	// order (package transport, "The stack"); nil means a fresh in-memory
+	// network. The framework adds no layer of its own.
 	Network transport.Network
 	// BuddyHelp enables the paper's optimization: representatives send the
 	// final match answer to processes whose response was PENDING.
@@ -62,12 +64,6 @@ type Options struct {
 	Trace bool
 	// BufferMaxBytes bounds each per-connection export buffer (0 = unbounded).
 	BufferMaxBytes int64
-	// Coalesce, when non-nil, wraps the transport in a CoalescingNetwork so
-	// same-destination control messages share frames (see
-	// transport.CoalesceConfig; a Disabled config still counts frames, which
-	// is how baseline runs measure their frame traffic). FrameStats exposes
-	// the layer's counters.
-	Coalesce *transport.CoalesceConfig
 	// Timeout bounds blocking waits; 0 means DefaultTimeout.
 	Timeout time.Duration
 	// Obsv supplies the runtime observability layer (metrics registry, span
@@ -92,9 +88,11 @@ type Options struct {
 	// (see RecoveryOptions). nil disables it.
 	Recovery *RecoveryOptions
 	// Clock supplies the framework's time source — heartbeat leases, startup
-	// deadlines, stall accounting, checkpoint timing (nil = wall clock). The
-	// deterministic simulation harness injects a virtual clock; note the
-	// transport layers take their own clocks via their configs.
+	// deadlines, stall accounting, checkpoint timing, and the receive
+	// deadlines of every dispatcher the framework builds, Process.Comm's
+	// round timeouts among them (nil = wall clock). The deterministic
+	// simulation harness injects a virtual clock; the transport layers of
+	// Options.Network take their own clocks via their configs.
 	Clock vclock.Clock
 	// CheckedPools turns on buffer-pool ownership checking (buffer.Pool
 	// SetChecked) in every hosted process: double frees are recorded instead
@@ -129,9 +127,6 @@ type Framework struct {
 	local    string
 	programs map[string]*Program
 
-	// coalesce is the coalescing layer when Options.Coalesce enabled one.
-	coalesce *transport.CoalescingNetwork
-
 	// obs is the observability layer (never nil — a private registry-only
 	// observer is created when Options.Obsv is nil); tracer is obs.Tracer,
 	// hoisted because the hot paths nil-check it.
@@ -152,16 +147,18 @@ func (f *Framework) statusName() string {
 }
 
 // initObsv resolves Options.Obsv (private registry-only observer when nil),
-// bridges the coalescing layer's counters into the registry, and registers
-// the framework's /statusz section.
+// bridges the counters of the coalescing and TCP layers of the given stack
+// into the registry, and registers the framework's /statusz section.
 func (f *Framework) initObsv() {
 	f.obs = f.opts.Obsv
 	if f.obs == nil {
 		f.obs = obsv.New(obsv.Config{})
 	}
 	f.tracer = f.obs.Tracer
-	if c := f.coalesce; c != nil {
-		reg := f.obs.Registry
+	reg := f.obs.Registry
+	c := transport.FindLayer[*transport.CoalescingNetwork](f.net)
+	t := transport.FindLayer[*transport.TCPNetwork](f.net)
+	if c != nil {
 		reg.GaugeFunc("transport.frames.messages", func() float64 { return float64(c.Stats().Messages) })
 		reg.GaugeFunc("transport.frames.sent", func() float64 { return float64(c.Stats().Frames) })
 		reg.GaugeFunc("transport.frames.coalesced", func() float64 { return float64(c.Stats().Batched) })
@@ -170,8 +167,8 @@ func (f *Framework) initObsv() {
 	}
 	// transport.decode_errors totals malformed input at every layer that
 	// decodes wire bytes: TCP frames and coalescing batch envelopes.
-	if t, c := findTCPNetwork(f.net), f.coalesce; t != nil || c != nil {
-		f.obs.Registry.GaugeFunc("transport.decode_errors", func() float64 {
+	if t != nil || c != nil {
+		reg.GaugeFunc("transport.decode_errors", func() float64 {
 			var n float64
 			if t != nil {
 				n += float64(t.Stats().DecodeErrors)
@@ -182,8 +179,7 @@ func (f *Framework) initObsv() {
 			return n
 		})
 	}
-	if t := findTCPNetwork(f.net); t != nil {
-		reg := f.obs.Registry
+	if t != nil {
 		reg.GaugeFunc("transport.reconnects", func() float64 { return float64(t.Stats().Reconnects) })
 	}
 	f.obs.AddStatus(f.statusName(), f.writeStatus)
@@ -237,7 +233,7 @@ func (f *Framework) DumpFlight(reason string) ([]string, error) {
 // writeStatus renders the /statusz section: per-connection pipeline state of
 // every hosted process and the heartbeat view of every hosted rep.
 func (f *Framework) writeStatus(w io.Writer) {
-	if t := findTCPNetwork(f.net); t != nil {
+	if t := transport.FindLayer[*transport.TCPNetwork](f.net); t != nil {
 		s := t.Stats()
 		fmt.Fprintf(w, "transport: reconnects=%d decode_errors=%d\n", s.Reconnects, s.DecodeErrors)
 	}
@@ -304,33 +300,7 @@ func New(cfg *config.Config, opts Options) (*Framework, error) {
 	if opts.Network == nil {
 		opts.Network = transport.NewMemNetwork()
 	}
-	var coalesce *transport.CoalescingNetwork
-	if opts.Coalesce != nil {
-		coalesce = transport.NewCoalescingNetwork(opts.Network, *opts.Coalesce)
-		opts.Network = coalesce
-	}
-	if opts.Timeout <= 0 {
-		opts.Timeout = DefaultTimeout
-	}
-	opts.Clock = vclock.Or(opts.Clock)
-	f := &Framework{
-		cfg:      cfg,
-		opts:     opts,
-		net:      opts.Network,
-		programs: make(map[string]*Program),
-		coalesce: coalesce,
-	}
-	f.initObsv()
-	for _, pc := range cfg.Programs {
-		p, err := newProgram(f, pc)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		f.programs[pc.Name] = p
-	}
-	f.initDiag()
-	return f, nil
+	return build(cfg, "", cfg.Programs, opts)
 }
 
 // Join builds a framework hosting only the named program of the
@@ -347,11 +317,12 @@ func Join(cfg *config.Config, program string, opts Options) (*Framework, error) 
 	if !ok {
 		return nil, fmt.Errorf("core: configuration has no program %q", program)
 	}
-	var coalesce *transport.CoalescingNetwork
-	if opts.Coalesce != nil {
-		coalesce = transport.NewCoalescingNetwork(opts.Network, *opts.Coalesce)
-		opts.Network = coalesce
-	}
+	return build(cfg, program, []config.Program{pc}, opts)
+}
+
+// build is the constructor behind New and Join: a framework over
+// opts.Network hosting the given programs (local names the one Join hosts).
+func build(cfg *config.Config, local string, hosted []config.Program, opts Options) (*Framework, error) {
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
@@ -360,17 +331,18 @@ func Join(cfg *config.Config, program string, opts Options) (*Framework, error) 
 		cfg:      cfg,
 		opts:     opts,
 		net:      opts.Network,
-		local:    program,
+		local:    local,
 		programs: make(map[string]*Program),
-		coalesce: coalesce,
 	}
 	f.initObsv()
-	p, err := newProgram(f, pc)
-	if err != nil {
-		f.Close()
-		return nil, err
+	for _, pc := range hosted {
+		p, err := newProgram(f, pc)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		f.programs[pc.Name] = p
 	}
-	f.programs[pc.Name] = p
 	f.initDiag()
 	return f, nil
 }
@@ -569,15 +541,6 @@ func (f *Framework) regionDef(ep config.Endpoint) (regionDef, error) {
 			ep.Program, ep.Region)
 	}
 	return def, nil
-}
-
-// FrameStats returns the coalescing layer's frame counters; ok is false
-// when Options.Coalesce did not enable the layer.
-func (f *Framework) FrameStats() (stats transport.FrameStats, ok bool) {
-	if f.coalesce == nil {
-		return transport.FrameStats{}, false
-	}
-	return f.coalesce.Stats(), true
 }
 
 // Obsv returns the framework's observability layer — Options.Obsv, or the

@@ -71,6 +71,7 @@ func TestDistributedCoupling(t *testing.T) {
 	li, _ := decomp.NewColBlock(size, size, 2)
 
 	errs := make(chan error, 2)
+	imported := make(chan struct{}) // closed when program I's imports returned
 	go func() {
 		errs <- joinProgram(t, router.ListenAddr(), "E", le, func(prog *Program) error {
 			var wg sync.WaitGroup
@@ -95,31 +96,27 @@ func TestDistributedCoupling(t *testing.T) {
 					return e
 				}
 			}
-			// Stay alive until the importer's request was served: closing
-			// this framework tears down the exporter's processes, so a
+			// Stay alive until the importer has its data: closing this
+			// framework tears down the exporter's rep and processes, so a
 			// component must not exit before its peers are done with it
 			// (shutdown coordination is application-level, as in the paper's
-			// independently developed programs).
-			deadline := testutil.Now().Add(30 * time.Second)
-			for {
-				served := true
-				for r := 0; r < prog.Procs(); r++ {
-					stats, err := prog.Process(r).ExportStats("d")
-					if err != nil {
-						return err
-					}
-					if stats["I.d"].Sends < 1 {
-						served = false
-					}
-				}
-				if served {
-					return nil
-				}
-				if testutil.Now().After(deadline) {
-					return fmt.Errorf("importer never collected the match")
-				}
-				testutil.Sleep(5 * time.Millisecond)
+			// independently developed programs). A match decided here is not
+			// yet an answer sent — the rep may still be aggregating.
+			select {
+			case <-imported:
+			case <-time.After(30 * time.Second):
+				return fmt.Errorf("importer never collected the match")
 			}
+			for r := 0; r < prog.Procs(); r++ {
+				stats, err := prog.Process(r).ExportStats("d")
+				if err != nil {
+					return err
+				}
+				if stats["I.d"].Sends < 1 {
+					return fmt.Errorf("E:%d sent nothing to I.d", r)
+				}
+			}
+			return nil
 		})
 	}()
 	go func() {
@@ -150,6 +147,7 @@ func TestDistributedCoupling(t *testing.T) {
 				}(r)
 			}
 			wg.Wait()
+			close(imported)
 			for _, e := range perr {
 				if e != nil {
 					return e

@@ -553,8 +553,11 @@ func (p *Process) closeProc() {
 // frames are decoded on the separate dataLoop goroutine, so a flood of them
 // cannot delay control traffic.
 func (p *Process) ctlLoop() {
-	ctl := p.d.Chan(transport.KindControl)
-	for m := range ctl {
+	for {
+		m, err := p.d.Recv(transport.KindControl)
+		if err != nil {
+			return
+		}
 		p.handleControl(m)
 	}
 }
@@ -563,8 +566,11 @@ func (p *Process) ctlLoop() {
 // and files the pieces for waiting Import calls, independently of the
 // control loop.
 func (p *Process) dataLoop() {
-	data := p.d.Chan(transport.KindData)
-	for m := range data {
+	for {
+		m, err := p.d.Recv(transport.KindData)
+		if err != nil {
+			return
+		}
 		p.handleData(m)
 	}
 }

@@ -64,13 +64,13 @@ func newProgram(f *Framework, pc config.Program) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: register rep of %s: %w", pc.Name, err)
 	}
-	p.rep = newRepRunner(p, transport.NewDispatcher(repEP))
+	p.rep = newRepRunner(p, transport.NewMergedDispatcher(repEP, f.opts.Clock))
 	for r := 0; r < pc.Procs; r++ {
 		ep, err := f.net.Register(transport.Proc(pc.Name, r))
 		if err != nil {
 			return nil, fmt.Errorf("core: register %s: %w", transport.Proc(pc.Name, r), err)
 		}
-		proc, err := newProcess(p, r, transport.NewDispatcher(ep))
+		proc, err := newProcess(p, r, transport.NewDispatcherClock(ep, f.opts.Clock))
 		if err != nil {
 			return nil, err
 		}

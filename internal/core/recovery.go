@@ -344,34 +344,10 @@ func (r *repRunner) handleRejoin(m transport.Message) {
 	}
 }
 
-// resetPeerSessions walks the transport layer stack down to the reliable
-// layer (if any) and resets its session state toward the named program.
+// resetPeerSessions resets the session state the stack's reliable layer (if
+// any) holds toward the named program.
 func resetPeerSessions(n transport.Network, program string, epoch uint32) {
-	for n != nil {
-		if rn, ok := n.(*transport.ReliableNetwork); ok {
-			rn.ResetPeer(program, epoch)
-			return
-		}
-		u, ok := n.(transport.Unwrapper)
-		if !ok {
-			return
-		}
-		n = u.Unwrap()
+	if rn := transport.FindLayer[*transport.ReliableNetwork](n); rn != nil {
+		rn.ResetPeer(program, epoch)
 	}
-}
-
-// findTCPNetwork walks the transport layer stack down to the TCP base
-// transport, for the observability bridges (nil when the base is in-memory).
-func findTCPNetwork(n transport.Network) *transport.TCPNetwork {
-	for n != nil {
-		if t, ok := n.(*transport.TCPNetwork); ok {
-			return t
-		}
-		u, ok := n.(transport.Unwrapper)
-		if !ok {
-			return nil
-		}
-		n = u.Unwrap()
-	}
-	return nil
 }

@@ -136,44 +136,26 @@ func (r *repRunner) sendLayout(dst transport.Addr, lm layoutMsg) error {
 	})
 }
 
+// run is the rep's one loop: every kind arrives on the merged queue in the
+// order its sender sent it.
 func (r *repRunner) run() {
-	calls := r.d.Chan(transport.KindImportCall)
-	resps := r.d.Chan(transport.KindResponse)
-	reqs := r.d.Chan(transport.KindRequest)
-	answers := r.d.Chan(transport.KindAnswer)
-	layouts := r.d.Chan(transport.KindLayout)
-	ctl := r.d.Chan(transport.KindControl)
 	for {
-		select {
-		case m, ok := <-ctl:
-			if !ok {
-				return
-			}
+		m, err := r.d.RecvAny()
+		if err != nil {
+			return
+		}
+		switch m.Kind {
+		case transport.KindControl:
 			r.handleControl(m)
-		case m, ok := <-calls:
-			if !ok {
-				return
-			}
+		case transport.KindImportCall:
 			r.handleImportCall(m)
-		case m, ok := <-resps:
-			if !ok {
-				return
-			}
+		case transport.KindResponse:
 			r.handleResponse(m)
-		case m, ok := <-reqs:
-			if !ok {
-				return
-			}
+		case transport.KindRequest:
 			r.handleRequest(m)
-		case m, ok := <-answers:
-			if !ok {
-				return
-			}
+		case transport.KindAnswer:
 			r.handleAnswer(m)
-		case m, ok := <-layouts:
-			if !ok {
-				return
-			}
+		case transport.KindLayout:
 			r.handleLayout(m)
 		}
 	}

@@ -56,14 +56,10 @@ type Figure4Config struct {
 	// optimization's window.
 	NetLatency time.Duration
 	// Coalesce batches same-destination control messages into shared
-	// transport frames (transport.CoalescingNetwork). CountFrames wraps the
-	// transport in the layer without batching, purely to count frames — the
-	// baseline an enabled run is compared against. Coalesce implies the
-	// counting.
-	Coalesce    bool
-	CountFrames bool
-	Runs        int
-	Trace       bool
+	// transport frames (transport.CoalescingNetwork over the run's network).
+	Coalesce bool
+	Runs     int
+	Trace    bool
 	// Obsv, when non-nil, is the observability layer the run's framework
 	// publishes into: metrics, /statusz sections and — when the observer
 	// has a Tracer — protocol spans. Pass the same observer to obsv.Serve
@@ -124,10 +120,9 @@ type Figure4Result struct {
 	// export (last run) — the quantity behind the paper's future-work
 	// concern about finite buffer space.
 	PeakBufferedBytes int64
-	// Frames holds the transport frame counters of the last run when the
-	// configuration asked for them (Coalesce or CountFrames).
-	Frames        transport.FrameStats
-	FramesCounted bool
+	// Frames holds the coalescing layer's counters of the last run (zero
+	// unless Cfg.Coalesce).
+	Frames transport.FrameStats
 	// ImportChecksum sums every value program U imported (last run, ranks in
 	// order). The matched versions and their contents are deterministic for
 	// a given configuration, so two runs that match identically — coalesced
@@ -230,7 +225,6 @@ func RunFigure4(cfg Figure4Config) (*Figure4Result, error) {
 		ImporterProto:     last.impProto,
 		PeakBufferedBytes: last.peakBuffered,
 		Frames:            last.frames,
-		FramesCounted:     last.framesCounted,
 		ImportChecksum:    last.importChecksum,
 	}, nil
 }
@@ -248,7 +242,6 @@ type runOutcome struct {
 	impProto       core.ProtocolStats
 	peakBuffered   int64
 	frames         transport.FrameStats
-	framesCounted  bool
 	importChecksum float64
 }
 
@@ -272,16 +265,21 @@ func runFigure4Once(cfg Figure4Config) (*runOutcome, error) {
 		Timeout:   5 * time.Minute,
 		Obsv:      cfg.Obsv,
 	}
-	if cfg.NetLatency > 0 {
-		opts.Network = transport.NewLatencyNetwork(
-			transport.NewMemNetwork(), cfg.NetLatency, cfg.NetLatency/10)
+	// The run composes its own stack (transport, "The stack"): backend,
+	// then the injector, then coalescing.
+	net := figure4TestNetwork
+	if net == nil {
+		net = transport.NewMemNetwork()
+		if cfg.NetLatency > 0 {
+			net = transport.NewFaultNetwork(net, transport.FaultConfig{Latency: cfg.NetLatency, Jitter: cfg.NetLatency / 10})
+		}
 	}
-	if figure4TestNetwork != nil {
-		opts.Network = figure4TestNetwork
+	var coalescing *transport.CoalescingNetwork
+	if cfg.Coalesce {
+		coalescing = transport.NewCoalescingNetwork(net, transport.CoalesceConfig{})
+		net = coalescing
 	}
-	if cfg.Coalesce || cfg.CountFrames {
-		opts.Coalesce = &transport.CoalesceConfig{Disabled: !cfg.Coalesce}
-	}
+	opts.Network = net
 	fw, err := core.New(coupling, opts)
 	if err != nil {
 		return nil, err
@@ -432,8 +430,8 @@ func runFigure4Once(cfg Figure4Config) (*runOutcome, error) {
 	for _, s := range sums {
 		out.importChecksum += s
 	}
-	if fs, ok := fw.FrameStats(); ok {
-		out.frames, out.framesCounted = fs, true
+	if coalescing != nil {
+		out.frames = coalescing.Stats()
 	}
 	return out, nil
 }

@@ -3,21 +3,22 @@ package harness
 import "fmt"
 
 // FramingComparison is the allocation-and-framing experiment: one Figure-4
-// configuration run twice over the frame-counting transport — once with
-// coalescing disabled (every message its own frame, the baseline) and once
-// enabled — so the frame reduction and the invariance of the match results
-// can be read off directly.
+// configuration run twice — once on the bare network (the baseline for the
+// identity check) and once under a CoalescingNetwork, whose own counters give
+// the frame reduction — so the reduction and the invariance of the match
+// results can be read off directly.
 type FramingComparison struct {
 	Baseline, Coalesced *Figure4Result
 }
 
-// FrameReduction returns baseline frames per coalesced frame (>1 means the
-// coalescing layer shrank the wire traffic).
+// FrameReduction returns the coalesced run's messages per frame: uncoalesced,
+// every message is a frame of its own (>1 means the coalescing layer shrank
+// the wire traffic).
 func (fc *FramingComparison) FrameReduction() float64 {
 	if fc.Coalesced.Frames.Frames == 0 {
 		return 0
 	}
-	return float64(fc.Baseline.Frames.Frames) / float64(fc.Coalesced.Frames.Frames)
+	return float64(fc.Coalesced.Frames.Messages) / float64(fc.Coalesced.Frames.Frames)
 }
 
 // Identical reports whether the two runs matched identically: same MATCH
@@ -31,7 +32,7 @@ func (fc *FramingComparison) Identical() bool {
 // String renders the comparison's headline numbers.
 func (fc *FramingComparison) String() string {
 	return fmt.Sprintf("frames %d -> %d (%.1fx), matched %d/%d, checksum equal %v",
-		fc.Baseline.Frames.Frames, fc.Coalesced.Frames.Frames, fc.FrameReduction(),
+		fc.Coalesced.Frames.Messages, fc.Coalesced.Frames.Frames, fc.FrameReduction(),
 		fc.Baseline.Matched, fc.Coalesced.Matched, fc.Identical())
 }
 
@@ -56,12 +57,12 @@ func DefaultFramingConfig() Figure4Config {
 	}
 }
 
-// RunFramingComparison runs cfg twice — frames counted, coalescing off then
-// on — and returns both outcomes.
+// RunFramingComparison runs cfg twice — coalescing off then on — and returns
+// both outcomes.
 func RunFramingComparison(cfg Figure4Config) (*FramingComparison, error) {
 	base := cfg
 	base.Name = cfg.Name + "/uncoalesced"
-	base.Coalesce, base.CountFrames = false, true
+	base.Coalesce = false
 	baseline, err := RunFigure4(base)
 	if err != nil {
 		return nil, fmt.Errorf("harness: baseline framing run: %w", err)
@@ -72,9 +73,6 @@ func RunFramingComparison(cfg Figure4Config) (*FramingComparison, error) {
 	coalesced, err := RunFigure4(co)
 	if err != nil {
 		return nil, fmt.Errorf("harness: coalesced framing run: %w", err)
-	}
-	if !baseline.FramesCounted || !coalesced.FramesCounted {
-		return nil, fmt.Errorf("harness: framing runs did not count frames")
 	}
 	return &FramingComparison{Baseline: baseline, Coalesced: coalesced}, nil
 }

@@ -5,14 +5,12 @@ import (
 	"time"
 )
 
-// LatencyPoint is one entry of the network-latency ablation.
+// LatencyPoint is one entry of the network-latency ablation: the buddy-help
+// on/off pair of runs (p_s's memcpys are With/Without.SlowStats.Copies, the
+// saving CopiesSaved) at one injected one-way latency.
 type LatencyPoint struct {
 	Latency time.Duration
-	// CopiesWith/CopiesWithout are p_s's memcpys with and without
-	// buddy-help at this latency.
-	CopiesWith, CopiesWithout int
-	// Saved is CopiesWithout - CopiesWith.
-	Saved int
+	*TubResult
 }
 
 // RunLatencySweep measures how one-way network latency affects the
@@ -29,12 +27,7 @@ func RunLatencySweep(base Figure4Config, latencies []time.Duration) ([]LatencyPo
 		if err != nil {
 			return nil, fmt.Errorf("harness: latency sweep %v: %w", lat, err)
 		}
-		out = append(out, LatencyPoint{
-			Latency:       lat,
-			CopiesWith:    res.With.SlowStats.Copies,
-			CopiesWithout: res.Without.SlowStats.Copies,
-			Saved:         res.CopiesSaved(),
-		})
+		out = append(out, LatencyPoint{Latency: lat, TubResult: res})
 	}
 	return out, nil
 }

@@ -43,10 +43,6 @@ type CoalesceConfig struct {
 	FlushInterval time.Duration
 	// Clock drives the flush ticker and receive timeouts (nil = wall clock).
 	Clock vclock.Clock
-	// Disabled turns coalescing off: every message passes straight through.
-	// The layer still counts frames, so a disabled run is the baseline the
-	// frame-reduction experiments compare against.
-	Disabled bool
 }
 
 // FrameStats counts the traffic a CoalescingNetwork handed to its inner
@@ -162,7 +158,7 @@ func (n *CoalescingNetwork) Register(addr Addr) (Endpoint, error) {
 		n.mu.Unlock()
 		return nil, ErrClosed
 	}
-	startFlusher := !n.started && !n.cfg.Disabled
+	startFlusher := !n.started
 	n.started = true
 	n.mu.Unlock()
 	ep, err := n.inner.Register(addr)
@@ -170,11 +166,10 @@ func (n *CoalescingNetwork) Register(addr Addr) (Endpoint, error) {
 		return nil, err
 	}
 	ce := &coalescingEndpoint{
-		net:    n,
-		inner:  ep,
-		box:    make(chan Message, DefaultMailboxDepth+coalesceMailboxSlack),
-		done:   make(chan struct{}),
-		intern: wire.NewInterner(),
+		mailbox: newMailbox(DefaultMailboxDepth+coalesceMailboxSlack, n.cfg.Clock),
+		net:     n,
+		inner:   ep,
+		intern:  wire.NewInterner(),
 	}
 	go ce.recvLoop()
 	if startFlusher {
@@ -251,7 +246,7 @@ func (n *CoalescingNetwork) send(e *coalescingEndpoint, msg Message) error {
 		msg.Seq = n.nextSeq[k]
 	}
 	n.messages.Add(1)
-	if n.cfg.Disabled || msg.Kind == KindBatch || len(msg.Payload) > n.cfg.MaxItemBytes {
+	if msg.Kind == KindBatch || len(msg.Payload) > n.cfg.MaxItemBytes {
 		if err := n.flushProgLocked(msg.Dst.Program); err != nil {
 			return err
 		}
@@ -348,24 +343,18 @@ func (n *CoalescingNetwork) flushLoop() {
 // dropped, like any send to an unknown address.
 func (n *CoalescingNetwork) dispatch(m Message) {
 	if target := n.endpoint(m.Dst); target != nil {
-		target.deliver(m)
+		target.put(m)
 	}
 }
 
 // coalescingEndpoint is one address's attachment to a CoalescingNetwork.
 type coalescingEndpoint struct {
+	mailbox
 	net   *CoalescingNetwork
 	inner Endpoint
 
-	box      chan Message
-	done     chan struct{}
-	closeOne sync.Once
-
 	// intern is used only by recvLoop (single goroutine).
 	intern *wire.Interner
-
-	errMu  sync.Mutex
-	recErr error
 }
 
 func (e *coalescingEndpoint) Addr() Addr { return e.inner.Addr() }
@@ -377,10 +366,8 @@ func (e *coalescingEndpoint) RecvExclusive() bool { return false }
 // Send implements Endpoint: small messages join the shared per-program
 // batch, bulk ones flush it and pass through.
 func (e *coalescingEndpoint) Send(msg Message) error {
-	select {
-	case <-e.done:
+	if e.isClosed() {
 		return ErrClosed
-	default:
 	}
 	return e.net.send(e, msg)
 }
@@ -395,20 +382,18 @@ func (e *coalescingEndpoint) recvLoop() {
 	for {
 		m, err := e.inner.Recv()
 		if err != nil {
-			e.fail(err)
+			e.shut(err)
 			return
 		}
 		if m.Kind != KindBatch {
-			if !e.deliver(m) {
+			if !e.put(m) {
 				return
 			}
 			continue
 		}
 		err = decodeBatch(m, e.intern, func(sub Message) error {
-			select {
-			case <-e.done:
+			if e.isClosed() {
 				return ErrClosed
-			default:
 			}
 			e.net.dispatch(sub)
 			return nil
@@ -417,69 +402,18 @@ func (e *coalescingEndpoint) recvLoop() {
 			// A malformed batch is protocol corruption; count it and fail the
 			// endpoint loudly rather than delivering a partial prefix silently.
 			e.net.decodeErrors.Add(1)
-			e.fail(err)
+			e.shut(err)
 			return
 		}
 	}
 }
 
-func (e *coalescingEndpoint) fail(err error) {
-	e.errMu.Lock()
-	if e.recErr == nil && err != ErrClosed {
-		e.recErr = err
-	}
-	e.errMu.Unlock()
-	e.Close()
-}
-
-func (e *coalescingEndpoint) deliver(m Message) bool {
-	select {
-	case e.box <- m:
-		return true
-	case <-e.done:
-		return false
-	}
-}
-
-func (e *coalescingEndpoint) Recv() (Message, error) {
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		select {
-		case m := <-e.box:
-			return m, nil
-		default:
-			return Message{}, e.closeErr()
-		}
-	}
-}
-
-func (e *coalescingEndpoint) RecvTimeout(d time.Duration) (Message, error) {
-	t := e.net.cfg.Clock.NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		return Message{}, e.closeErr()
-	case <-t.C():
-		return Message{}, ErrTimeout
-	}
-}
-
-func (e *coalescingEndpoint) closeErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	if e.recErr != nil {
-		return e.recErr
-	}
-	return ErrClosed
-}
-
 // Close flushes the shared pending batches and detaches the endpoint.
-func (e *coalescingEndpoint) Close() error {
-	e.closeOne.Do(func() {
+func (e *coalescingEndpoint) Close() error { return e.shut(nil) }
+
+// shut is Close with the error that stopped recvLoop, for Recv to report.
+func (e *coalescingEndpoint) shut(err error) error {
+	if e.fail(err) {
 		e.net.bmu.Lock()
 		_ = e.net.flushAllLocked()
 		e.net.bmu.Unlock()
@@ -488,7 +422,6 @@ func (e *coalescingEndpoint) Close() error {
 			delete(e.net.eps, e.inner.Addr())
 		}
 		e.net.mu.Unlock()
-		close(e.done)
-	})
+	}
 	return e.inner.Close()
 }

@@ -200,26 +200,6 @@ func TestCoalescePassthroughOrdering(t *testing.T) {
 	}
 }
 
-func TestCoalesceDisabledPassesThrough(t *testing.T) {
-	n := coalesceNet(t, CoalesceConfig{Disabled: true})
-	a, _ := n.Register(Proc("A", 0))
-	b, _ := n.Register(Proc("B", 0))
-	for i := 0; i < 5; i++ {
-		if err := a.Send(Message{Kind: KindResponse, Dst: b.Addr()}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := b.RecvTimeout(2 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := n.Stats()
-	if st.Frames != 5 || st.Batches != 0 {
-		t.Fatalf("disabled stats %+v, want 5 unbatched frames", st)
-	}
-}
-
 // TestCoalesceUnderReliable stacks the layers the intended way —
 // Reliable(Coalescing(base)) — and checks the reliable sequence numbers
 // survive batching and every message arrives exactly once in order.

@@ -17,16 +17,22 @@ import (
 // process busy in a long compute phase cannot stall its peers' sends (the
 // paper's framework likewise decouples request handling from the application
 // loop).
+//
+// A consumer that handles every kind in one loop (a representative) builds
+// the dispatcher with NewMergedDispatcher instead: all kinds share one queue,
+// read with RecvAny, so two kinds sent by one peer arrive in send order.
 type Dispatcher struct {
 	ep    Endpoint
 	clock vclock.Clock
 
-	mu      sync.Mutex
-	queues  map[Kind]*queue
-	chans   map[Kind]chan Message
-	err     error
-	closed  bool
-	stopped chan struct{}
+	// merged is the one queue of a merged dispatcher (nil otherwise); fixed
+	// at construction, before the receive loop routes anything.
+	merged *queue
+
+	mu     sync.Mutex
+	queues map[Kind]*queue
+	err    error
+	closed bool
 }
 
 // queue is an unbounded FIFO with blocking receive. The backing store is a
@@ -116,49 +122,25 @@ func NewDispatcher(ep Endpoint) *Dispatcher { return NewDispatcherClock(ep, nil)
 // NewDispatcherClock is NewDispatcher with an injected clock for receive
 // deadlines (nil = wall clock).
 func NewDispatcherClock(ep Endpoint, clock vclock.Clock) *Dispatcher {
-	d := &Dispatcher{
-		ep:      ep,
-		clock:   vclock.Or(clock),
-		queues:  make(map[Kind]*queue),
-		chans:   make(map[Kind]chan Message),
-		stopped: make(chan struct{}),
-	}
+	return startDispatcher(ep, clock, nil)
+}
+
+// NewMergedDispatcher is NewDispatcherClock with one queue for every kind:
+// RecvAny returns messages in arrival order, and the per-kind receives all
+// read that same queue.
+func NewMergedDispatcher(ep Endpoint, clock vclock.Clock) *Dispatcher {
+	return startDispatcher(ep, clock, newQueue())
+}
+
+func startDispatcher(ep Endpoint, clock vclock.Clock, merged *queue) *Dispatcher {
+	d := &Dispatcher{ep: ep, clock: vclock.Or(clock), merged: merged, queues: make(map[Kind]*queue)}
 	go d.run()
 	return d
 }
 
-// Chan returns a channel delivering the messages of kind, in order, fed by a
-// per-kind pump goroutine (so multiple kinds can be multiplexed with select).
-// The channel closes when the dispatcher stops. For any given kind use
-// either Chan or Recv/RecvTimeout, not both.
-func (d *Dispatcher) Chan(kind Kind) <-chan Message {
-	d.mu.Lock()
-	ch, ok := d.chans[kind]
-	if ok {
-		d.mu.Unlock()
-		return ch
-	}
-	ch = make(chan Message, 64)
-	d.chans[kind] = ch
-	d.mu.Unlock()
-	q := d.queue(kind)
-	go func() {
-		for {
-			m, err := q.pop(nil)
-			if err != nil {
-				close(ch)
-				return
-			}
-			select {
-			case ch <- m:
-			case <-d.stopped:
-				close(ch)
-				return
-			}
-		}
-	}()
-	return ch
-}
+// RecvAny receives the next message of any kind from a merged dispatcher,
+// blocking until one arrives or the dispatcher stops (returning ErrClosed).
+func (d *Dispatcher) RecvAny() (Message, error) { return d.merged.pop(nil) }
 
 // Endpoint returns the wrapped endpoint (for Send; callers must not Recv on
 // it directly once a Dispatcher owns it).
@@ -175,6 +157,9 @@ func (d *Dispatcher) Send(msg Message) error { return d.ep.Send(msg) }
 func (d *Dispatcher) RecvExclusive() bool { return d.ep.RecvExclusive() }
 
 func (d *Dispatcher) queue(kind Kind) *queue {
+	if d.merged != nil {
+		return d.merged
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	q, ok := d.queues[kind]
@@ -247,7 +232,9 @@ func (d *Dispatcher) stop(err error) {
 		qs = append(qs, q)
 	}
 	d.mu.Unlock()
-	close(d.stopped)
+	if d.merged != nil {
+		d.merged.close()
+	}
 	for _, q := range qs {
 		q.close()
 	}

@@ -27,6 +27,13 @@ type FaultConfig struct {
 	// delays everything behind it (as a congested link would).
 	DelayProb float64
 	MaxDelay  time.Duration
+	// Latency is a fixed one-way delay added to every delivered message and
+	// Jitter a uniform random extra in [0, Jitter) — the interconnect of the
+	// paper's testbed (Gigabit Ethernet, ~100 µs) or a WAN, for the ablation
+	// of how control-message latency erodes the buddy-help window. With both
+	// zero no RNG draw is made for them, so a seed's drop/delay/reset pattern
+	// does not depend on these fields existing.
+	Latency, Jitter time.Duration
 	// ResetEvery, when positive, injects a connection reset at the sender of
 	// every ResetEvery-th message network-wide: that message and the next
 	// ResetLen-1 messages the same endpoint sends are lost, modeling the
@@ -41,11 +48,12 @@ type FaultStats struct {
 	Sent, Dropped, Delayed, Resets uint64
 }
 
-// FaultNetwork wraps another Network and deterministically (seeded RNG)
-// injects one-way message drops, delivery delays, and connection resets,
-// while preserving FIFO order among the messages it does deliver. It is the
-// adversary half of the fault-tolerance test rig: layer ReliableNetwork on
-// top and the combination must behave like a lossless transport.
+// FaultNetwork is the injector: it wraps another Network and
+// deterministically (seeded RNG) injects one-way message drops, delivery
+// delays, connection resets and link latency, while preserving FIFO order
+// among the messages it does deliver. It is the adversary half of the
+// fault-tolerance test rig: layer ReliableNetwork on top and the combination
+// must behave like a lossless transport.
 type FaultNetwork struct {
 	inner Network
 	cfg   FaultConfig
@@ -137,11 +145,15 @@ func (n *FaultNetwork) judge(e *faultEndpoint) verdict {
 		n.stats.dropped.Add(1)
 		return verdict{drop: true}
 	}
+	v := verdict{delay: n.cfg.Latency}
 	if n.cfg.DelayProb > 0 && n.cfg.MaxDelay > 0 && n.rng.Float64() < n.cfg.DelayProb {
 		n.stats.delayed.Add(1)
-		return verdict{delay: time.Duration(1 + n.rng.Int63n(int64(n.cfg.MaxDelay)))}
+		v.delay += time.Duration(1 + n.rng.Int63n(int64(n.cfg.MaxDelay)))
 	}
-	return verdict{}
+	if n.cfg.Jitter > 0 {
+		v.delay += time.Duration(n.rng.Int63n(int64(n.cfg.Jitter)))
+	}
+	return v
 }
 
 type faultMsg struct {
@@ -150,7 +162,7 @@ type faultMsg struct {
 }
 
 // holdUntil blocks until the clock reaches due or done closes; it reports
-// false when done won. Shared by the fault and latency pumps.
+// false when done won.
 func holdUntil(clock vclock.Clock, due time.Time, done <-chan struct{}) bool {
 	wait := clock.Until(due)
 	if wait <= 0 {

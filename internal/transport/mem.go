@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/vclock"
 )
@@ -53,12 +52,7 @@ func (n *MemNetwork) Register(addr Addr) (Endpoint, error) {
 	if _, dup := n.boxes[addr]; dup {
 		return nil, ErrDuplicateAddr
 	}
-	ep := &memEndpoint{
-		net:  n,
-		addr: addr,
-		box:  make(chan Message, n.depth),
-		done: make(chan struct{}),
-	}
+	ep := &memEndpoint{mailbox: newMailbox(n.depth, n.Clock), net: n, addr: addr}
 	n.boxes[addr] = ep
 	return ep, nil
 }
@@ -95,12 +89,10 @@ func (n *MemNetwork) deliver(msg Message) error {
 	if !ok {
 		return ErrUnknownAddr
 	}
-	select {
-	case dst.box <- msg:
-		return nil
-	case <-dst.done:
+	if !dst.put(msg) {
 		return ErrUnknownAddr
 	}
+	return nil
 }
 
 func (n *MemNetwork) nextSeq(k seqKey) uint64 {
@@ -117,11 +109,9 @@ func (n *MemNetwork) unregister(addr Addr) {
 }
 
 type memEndpoint struct {
-	net      *MemNetwork
-	addr     Addr
-	box      chan Message
-	done     chan struct{}
-	closeOne sync.Once
+	mailbox
+	net  *MemNetwork
+	addr Addr
 }
 
 func (e *memEndpoint) Addr() Addr { return e.addr }
@@ -131,10 +121,8 @@ func (e *memEndpoint) Addr() Addr { return e.addr }
 func (e *memEndpoint) RecvExclusive() bool { return true }
 
 func (e *memEndpoint) Send(msg Message) error {
-	select {
-	case <-e.done:
+	if e.isClosed() {
 		return ErrClosed
-	default:
 	}
 	msg.Src = e.addr
 	if msg.Seq == 0 {
@@ -143,38 +131,9 @@ func (e *memEndpoint) Send(msg Message) error {
 	return e.net.deliver(msg)
 }
 
-func (e *memEndpoint) Recv() (Message, error) {
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		// Drain anything raced in before close was observed.
-		select {
-		case m := <-e.box:
-			return m, nil
-		default:
-			return Message{}, ErrClosed
-		}
-	}
-}
-
-func (e *memEndpoint) RecvTimeout(d time.Duration) (Message, error) {
-	t := vclock.Or(e.net.Clock).NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		return Message{}, ErrClosed
-	case <-t.C():
-		return Message{}, ErrTimeout
-	}
-}
-
 func (e *memEndpoint) Close() error {
-	e.closeOne.Do(func() {
-		close(e.done)
+	if e.fail(nil) {
 		e.net.unregister(e.addr)
-	})
+	}
 	return nil
 }

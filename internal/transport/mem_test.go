@@ -109,8 +109,7 @@ func TestMemDestinationClosesUnderSender(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- a.Send(Message{Dst: b.Addr()}) }()
-	be := b.(*memEndpoint)
-	be.closeOne.Do(func() { close(be.done) })
+	b.(*memEndpoint).fail(nil)
 	select {
 	case err := <-errc:
 		if err != ErrUnknownAddr {
@@ -312,5 +311,27 @@ func TestDispatcherRecvTimeout(t *testing.T) {
 	defer d.Close()
 	if _, err := d.RecvTimeout(KindData, 10*time.Millisecond); err != ErrTimeout {
 		t.Errorf("err = %v, want ErrTimeout", err)
+	}
+}
+
+// TestDispatcherMergedKeepsSendOrder: on a merged dispatcher two kinds sent
+// by one peer come out of RecvAny in the order they went in — a layout never
+// trails the request its sender sent after it.
+func TestDispatcherMergedKeepsSendOrder(t *testing.T) {
+	n := NewMemNetwork()
+	defer n.Close()
+	src, _ := n.Register(Rep("A"))
+	ep, _ := n.Register(Rep("B"))
+	d := NewMergedDispatcher(ep, nil)
+	defer d.Close()
+	for i := 0; i < 1000; i++ {
+		src.Send(Message{Kind: KindLayout, Dst: ep.Addr()})
+		src.Send(Message{Kind: KindRequest, Dst: ep.Addr()})
+		for _, want := range []Kind{KindLayout, KindRequest} {
+			m, err := d.RecvAny()
+			if err != nil || m.Kind != want {
+				t.Fatalf("round %d: got %v (%v), want %v", i, m.Kind, err, want)
+			}
+		}
 	}
 }

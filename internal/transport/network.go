@@ -20,6 +20,19 @@ var (
 	ErrTimeout = errors.New("transport: receive timeout")
 )
 
+// The stack. Layers compose in one legal order, bottom to top:
+//
+//	backend (MemNetwork | TCPNetwork) → FaultNetwork → CoalescingNetwork →
+//	ReliableNetwork → Dispatcher
+//
+// Every layer but the backend and the Dispatcher is optional. The injector
+// sits on the backend because it plays the wire; coalescing sits under the
+// reliable layer so sequence numbers ride inside batch items and acks get
+// batched too; the Dispatcher is per endpoint and always outermost. The
+// caller composes the stack (cmd/coupled, the harness, dst) and hands it to
+// core as Options.Network; core never adds a layer, it only walks the one it
+// was given (FindLayer).
+
 // Network hands out endpoints for addresses and routes messages between them.
 type Network interface {
 	// Register claims addr and returns its endpoint. Each address may be
@@ -54,20 +67,42 @@ type Endpoint interface {
 	// mailbox, TCP copies each payload out of its read buffer — and every
 	// decorator says no: ReliableNetwork retains sent payloads until acked,
 	// CoalescingNetwork delivers windows of one envelope, and the injectors
-	// (FaultNetwork, LatencyNetwork, the DST networks) promise nothing. A
+	// (FaultNetwork, the DST networks) promise nothing. A
 	// wrapper that only observes traffic passes its inner endpoint's answer
 	// through. The answer is fixed for the endpoint's lifetime.
 	RecvExclusive() bool
-	// Close detaches the endpoint. Pending and future Recv calls return
-	// ErrClosed; messages already queued are discarded.
+	// Close detaches the endpoint: it accepts no further message, and Send
+	// returns ErrClosed. Messages queued before the close are still handed
+	// out, in order, by Recv and RecvTimeout alike; once the queue is empty
+	// both return ErrClosed — or, when the endpoint was closed by a failure
+	// of its own receive loop rather than by this call, the error that
+	// stopped the loop. Close is idempotent and unblocks a parked Recv.
 	Close() error
 }
 
-// Unwrapper is implemented by layered networks (reliable, coalescing, fault,
-// latency) that wrap another Network, so diagnostics can walk the stack down
-// to the base transport.
+// Unwrapper is implemented by layered networks (reliable, coalescing, fault)
+// that wrap another Network, so diagnostics can walk the stack down to the
+// base transport.
 type Unwrapper interface {
 	Unwrap() Network
+}
+
+// FindLayer walks n's Unwrap chain from the top and returns the first layer
+// of type T, or T's zero value (nil for the pointer types layers are) when
+// the stack has none.
+func FindLayer[T Network](n Network) T {
+	for n != nil {
+		if t, ok := n.(T); ok {
+			return t
+		}
+		u, ok := n.(Unwrapper)
+		if !ok {
+			break
+		}
+		n = u.Unwrap()
+	}
+	var none T
+	return none
 }
 
 // seqKey identifies a directed sender->receiver pair for FIFO sequence

@@ -46,7 +46,7 @@ func TestRecvExclusiveContract(t *testing.T) {
 			return transport.NewFaultNetwork(mem(), transport.FaultConfig{Seed: 7, DelayProb: 0.25, MaxDelay: 200 * time.Microsecond})
 		}, false},
 		{"latency-over-mem", func(*testing.T) transport.Network {
-			return transport.NewLatencyNetwork(mem(), 20*time.Microsecond, 10*time.Microsecond)
+			return transport.NewFaultNetwork(mem(), transport.FaultConfig{Latency: 20 * time.Microsecond, Jitter: 10 * time.Microsecond})
 		}, false},
 	} {
 		tc := tc

@@ -78,10 +78,9 @@ func (n *ReliableNetwork) Register(addr Addr) (Endpoint, error) {
 		return nil, err
 	}
 	re := &reliableEndpoint{
+		mailbox:   newMailbox(DefaultMailboxDepth, n.cfg.Clock),
 		net:       n,
 		inner:     ep,
-		box:       make(chan Message, DefaultMailboxDepth),
-		done:      make(chan struct{}),
 		nextSeq:   make(map[Addr]uint64),
 		unacked:   make(map[Addr][]Message),
 		peerEpoch: make(map[string]uint32),
@@ -132,12 +131,9 @@ func (n *ReliableNetwork) Close() error {
 
 // reliableEndpoint is one address's attachment to a ReliableNetwork.
 type reliableEndpoint struct {
+	mailbox
 	net   *ReliableNetwork
 	inner Endpoint
-
-	box      chan Message
-	done     chan struct{}
-	closeOne sync.Once
 
 	// Sender side: next sequence number and resend buffer per destination,
 	// plus the per-peer-program session epoch a ResetPeer installed (the
@@ -150,9 +146,6 @@ type reliableEndpoint struct {
 	// Receiver side: highest in-order sequence delivered per source.
 	rmu       sync.Mutex
 	delivered map[Addr]uint64
-
-	errMu  sync.Mutex
-	recErr error
 }
 
 func (e *reliableEndpoint) Addr() Addr { return e.inner.Addr() }
@@ -166,10 +159,8 @@ func (e *reliableEndpoint) RecvExclusive() bool { return false }
 // errors (an unregistered peer, a connection mid-reconnect) are absorbed:
 // the resend loop retries until the receiver acks or the endpoint closes.
 func (e *reliableEndpoint) Send(msg Message) error {
-	select {
-	case <-e.done:
+	if e.isClosed() {
 		return ErrClosed
-	default:
 	}
 	msg.Src = e.inner.Addr()
 	e.smu.Lock()
@@ -206,12 +197,7 @@ func (e *reliableEndpoint) recvLoop() {
 	for {
 		m, err := e.inner.Recv()
 		if err != nil {
-			e.errMu.Lock()
-			if e.recErr == nil && !errors.Is(err, ErrClosed) {
-				e.recErr = err
-			}
-			e.errMu.Unlock()
-			e.Close()
+			e.shut(err)
 			return
 		}
 		if m.Kind == KindAck {
@@ -221,7 +207,7 @@ func (e *reliableEndpoint) recvLoop() {
 		if m.Seq == 0 {
 			// Unsequenced traffic from a sender outside the reliable layer:
 			// pass through untouched.
-			if !e.deliver(m) {
+			if !e.put(m) {
 				return
 			}
 			continue
@@ -233,7 +219,7 @@ func (e *reliableEndpoint) recvLoop() {
 			e.delivered[m.Src] = m.Seq
 			e.rmu.Unlock()
 			e.sendAck(m.Src, m.Seq)
-			if !e.deliver(m) {
+			if !e.put(m) {
 				return
 			}
 		case m.Seq>>32 > last>>32 && m.Seq&0xffffffff == 1:
@@ -244,7 +230,7 @@ func (e *reliableEndpoint) recvLoop() {
 			e.delivered[m.Src] = m.Seq
 			e.rmu.Unlock()
 			e.sendAck(m.Src, m.Seq)
-			if !e.deliver(m) {
+			if !e.put(m) {
 				return
 			}
 		case m.Seq <= last:
@@ -258,15 +244,6 @@ func (e *reliableEndpoint) recvLoop() {
 			// the first hole without reordering.
 			e.rmu.Unlock()
 		}
-	}
-}
-
-func (e *reliableEndpoint) deliver(m Message) bool {
-	select {
-	case e.box <- m:
-		return true
-	case <-e.done:
-		return false
 	}
 }
 
@@ -314,42 +291,6 @@ func (e *reliableEndpoint) resendLoop() {
 	}
 }
 
-func (e *reliableEndpoint) Recv() (Message, error) {
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		select {
-		case m := <-e.box:
-			return m, nil
-		default:
-			return Message{}, e.closeErr()
-		}
-	}
-}
-
-func (e *reliableEndpoint) RecvTimeout(d time.Duration) (Message, error) {
-	t := e.net.cfg.Clock.NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		return Message{}, e.closeErr()
-	case <-t.C():
-		return Message{}, ErrTimeout
-	}
-}
-
-func (e *reliableEndpoint) closeErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	if e.recErr != nil {
-		return e.recErr
-	}
-	return ErrClosed
-}
-
 // resetPeer implements ReliableNetwork.ResetPeer for one endpoint.
 func (e *reliableEndpoint) resetPeer(program string, epoch uint32) {
 	e.smu.Lock()
@@ -379,7 +320,10 @@ func (e *reliableEndpoint) Unacked() int {
 	return n
 }
 
-func (e *reliableEndpoint) Close() error {
-	e.closeOne.Do(func() { close(e.done) })
+func (e *reliableEndpoint) Close() error { return e.shut(nil) }
+
+// shut is Close with the error that stopped recvLoop, for Recv to report.
+func (e *reliableEndpoint) shut(err error) error {
+	e.fail(err)
 	return e.inner.Close()
 }

@@ -446,13 +446,12 @@ func (n *TCPNetwork) Register(addr Addr) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: dial router: %w", err)
 	}
 	ep := &tcpEndpoint{
-		net:    n,
-		addr:   addr,
-		conn:   conn,
-		fr:     newFrameReader(conn),
-		intern: wire.NewInterner(),
-		box:    make(chan Message, DefaultMailboxDepth),
-		done:   make(chan struct{}),
+		mailbox: newMailbox(DefaultMailboxDepth, n.Clock),
+		net:     n,
+		addr:    addr,
+		conn:    conn,
+		fr:      newFrameReader(conn),
+		intern:  wire.NewInterner(),
 	}
 	ep.w.conn = conn
 	ep.epoch = n.SessionEpoch
@@ -503,6 +502,7 @@ func (n *TCPNetwork) ResetConnections() {
 }
 
 type tcpEndpoint struct {
+	mailbox
 	net  *TCPNetwork
 	addr Addr
 
@@ -514,13 +514,6 @@ type tcpEndpoint struct {
 	intern *wire.Interner // owned by readLoop
 
 	epoch uint64 // reconnect counter, carried in the re-hello's Seq
-
-	box      chan Message
-	done     chan struct{}
-	closeOne sync.Once
-
-	errMu  sync.Mutex
-	recErr error
 }
 
 // readLoop receives until the connection dies; a non-deliberate death either
@@ -538,12 +531,10 @@ func (e *tcpEndpoint) readLoop() {
 				if len(m.Payload) > 0 {
 					m.Payload = append([]byte(nil), m.Payload...)
 				}
-				select {
-				case e.box <- m:
+				if e.put(m) {
 					continue
-				case <-e.done:
-					return
 				}
+				return
 			}
 			// A frame that arrived but would not decode: corrupt stream. The
 			// connection is dropped (and reconnected) like a read error, but
@@ -554,10 +545,8 @@ func (e *tcpEndpoint) readLoop() {
 			// mere socket failure.
 			e.net.decodeErrors.Add(1)
 		}
-		select {
-		case <-e.done: // deliberate Close
+		if e.isClosed() { // deliberate Close
 			return
-		default:
 		}
 		if e.reconnect(err) {
 			continue
@@ -573,7 +562,7 @@ func (e *tcpEndpoint) readLoop() {
 func (e *tcpEndpoint) reconnect(cause error) bool {
 	max := e.net.MaxRetries
 	if max <= 0 {
-		e.fail(fmt.Errorf("transport: tcp %s: connection lost: %w", e.addr, cause))
+		e.shut(fmt.Errorf("transport: tcp %s: connection lost: %w", e.addr, cause))
 		return false
 	}
 	backoff := e.net.retryBase()
@@ -616,29 +605,9 @@ func (e *tcpEndpoint) reconnect(cause error) bool {
 		e.net.reconnects.Add(1)
 		return true
 	}
-	e.fail(fmt.Errorf("transport: tcp %s: connection lost, %d reconnect attempts failed: %w",
+	e.shut(fmt.Errorf("transport: tcp %s: connection lost, %d reconnect attempts failed: %w",
 		e.addr, max, cause))
 	return false
-}
-
-// fail records the endpoint's terminal error and closes it.
-func (e *tcpEndpoint) fail(err error) {
-	e.errMu.Lock()
-	if e.recErr == nil {
-		e.recErr = err
-	}
-	e.errMu.Unlock()
-	e.Close()
-}
-
-// closeErr distinguishes a connection failure from a deliberate Close.
-func (e *tcpEndpoint) closeErr() error {
-	e.errMu.Lock()
-	defer e.errMu.Unlock()
-	if e.recErr != nil {
-		return e.recErr
-	}
-	return ErrClosed
 }
 
 // resetConn closes the current socket without closing the endpoint
@@ -657,10 +626,8 @@ func (e *tcpEndpoint) Addr() Addr { return e.addr }
 func (e *tcpEndpoint) RecvExclusive() bool { return true }
 
 func (e *tcpEndpoint) Send(msg Message) error {
-	select {
-	case <-e.done:
+	if e.isClosed() {
 		return ErrClosed
-	default:
 	}
 	msg.Src = e.addr
 	e.emu.Lock()
@@ -671,40 +638,16 @@ func (e *tcpEndpoint) Send(msg Message) error {
 	return nil
 }
 
-func (e *tcpEndpoint) Recv() (Message, error) {
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		select {
-		case m := <-e.box:
-			return m, nil
-		default:
-			return Message{}, e.closeErr()
-		}
-	}
-}
+// Close closes the socket, which stops readLoop.
+func (e *tcpEndpoint) Close() error { return e.shut(nil) }
 
-func (e *tcpEndpoint) RecvTimeout(d time.Duration) (Message, error) {
-	t := e.net.clock().NewTimer(d)
-	defer t.Stop()
-	select {
-	case m := <-e.box:
-		return m, nil
-	case <-e.done:
-		return Message{}, e.closeErr()
-	case <-t.C():
-		return Message{}, ErrTimeout
-	}
-}
-
-func (e *tcpEndpoint) Close() error {
-	e.closeOne.Do(func() {
-		close(e.done)
+// shut is Close with the error Recv is to report once the mailbox is empty.
+func (e *tcpEndpoint) shut(err error) error {
+	if e.fail(err) {
 		e.emu.Lock()
 		conn := e.conn
 		e.emu.Unlock()
 		conn.Close()
-	})
+	}
 	return nil
 }
