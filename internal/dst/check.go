@@ -40,7 +40,10 @@ type Checker struct {
 	// "src|conn" stream.
 	lastPending map[string]int
 	lastDecided map[string]int
-	firstErr    error
+	// decided counts decisive responses observed. A scenario expects at
+	// least one per import request, so a tap gone blind fails the run.
+	decided  int
+	firstErr error
 
 	// flightDir/flightRecs: when SetFlight armed them, the first violation
 	// records a KindViolation event in every recorder and dumps them all —
@@ -99,6 +102,13 @@ func (c *Checker) Wrap(inner transport.Network) transport.Network {
 	return &checkNetwork{inner: inner, chk: c}
 }
 
+// decisions returns how many decisive responses the checker has observed.
+func (c *Checker) decisions() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.decided
+}
+
 // respRecord is the decoded mirror of the core-internal response message
 // (gob matches fields by name), enough to observe the matcher's decisions.
 type respRecord struct {
@@ -108,16 +118,22 @@ type respRecord struct {
 	Result match.Result
 }
 
-// observeSend records a KindResponse leaving src.
+// observeSend records a KindResponse leaving src. Exporter processes are
+// the only senders of that kind, so one that does not decode into the mirror
+// — or decodes without its connection — means the mirror has drifted from
+// core's message (a renamed field, a new codec) and the response-order
+// invariant would be off with every run still green: that is a violation.
 func (c *Checker) observeSend(src transport.Addr, m transport.Message) {
 	var rm respRecord
-	if err := wire.Unmarshal(m.Payload, &rm); err != nil {
-		return // not a process response; skip
-	}
+	err := wire.Unmarshal(m.Payload, &rm)
 	key := src.String() + "|" + rm.Conn
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.firstErr != nil {
+		return
+	}
+	if err != nil || rm.Conn == "" {
+		c.fail("response from %s not decodable as a process response (conn %q): %v", src, rm.Conn, err)
 		return
 	}
 	if rm.Result == match.Pending {
@@ -141,6 +157,7 @@ func (c *Checker) observeSend(src transport.Addr, m transport.Message) {
 		return
 	}
 	c.lastDecided[key] = rm.ReqID
+	c.decided++
 }
 
 // observeRecv checks the exactly-once in-order contract for one delivered

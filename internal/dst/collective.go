@@ -52,8 +52,7 @@ type CollectiveChaosResult struct {
 	Seed   int64
 	Digest uint64
 	Ops    int // recorded outcomes folded into the digest
-	// Traffic counters (schedule-dependent; informational).
-	Delivered, Dropped, Delayed, Vanished uint64
+	Traffic
 }
 
 func hashBytes(b []byte) uint64 {
@@ -194,12 +193,9 @@ func RunCollectiveChaos(cfg CollectiveChaosConfig) (*CollectiveChaosResult, erro
 		return nil, err
 	}
 	return &CollectiveChaosResult{
-		Seed:      cfg.Seed,
-		Digest:    out.digest(),
-		Ops:       out.total(),
-		Delivered: w.delivered.Load(),
-		Dropped:   w.dropped.Load(),
-		Delayed:   w.delayed.Load(),
-		Vanished:  w.vanished.Load(),
+		Seed:    cfg.Seed,
+		Digest:  out.digest(),
+		Ops:     out.total(),
+		Traffic: w.traffic(),
 	}, nil
 }

@@ -18,6 +18,9 @@ func TestCollectiveChaosDeterministic(t *testing.T) {
 		t.Fatalf("calm run saw faults: %+v", calm)
 	}
 	t.Logf("calm: digest %016x over %d outcomes (%d delivered)", calm.Digest, calm.Ops, calm.Delivered)
+	if calm.Digest != goldenCollectiveChaos || calm.Ops != 96 {
+		t.Fatalf("calm digest %016x over %d outcomes, golden %016x over 96", calm.Digest, calm.Ops, uint64(goldenCollectiveChaos))
+	}
 
 	for _, seed := range []int64{1, 7, 4242} {
 		cfg := CollectiveChaosConfig{

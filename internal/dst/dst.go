@@ -17,6 +17,11 @@
 // to hold the framework to that contract. Traffic-level counters (how many
 // frames a resend timer retransmitted before the ack won the race) are
 // legitimately schedule-dependent and are reported, not replayed.
+//
+// The scenario script is not tied to the World: it takes an Env, and the
+// wall-clock environments (FaultEnv over FaultNetwork+mem, TCPEnv over a
+// loopback router; env.go) run the same stories under the same checker, where
+// the same workload must produce the same digest.
 package dst
 
 import (
@@ -32,10 +37,10 @@ import (
 	"repro/internal/vclock"
 )
 
-// DefaultMailboxDepth is the World's in-memory mailbox depth. It is generous
+// mailboxDepth is the World's in-memory mailbox depth. It is generous
 // so that fate-delayed deliveries flushed by the driver in a burst never
 // block the simulation loop behind a slow consumer.
-const DefaultMailboxDepth = 4096
+const mailboxDepth = 4096
 
 // Config parameterizes a World's fault model. All fates are pure functions
 // of (Seed, src, dst, per-pair send count): re-running the same scenario
@@ -57,8 +62,6 @@ type Config struct {
 	// delayed message: uniform in {1..MaxDelayQuanta} quanta.
 	MaxDelayQuanta int
 	Quantum        time.Duration
-	// MailboxDepth overrides DefaultMailboxDepth when positive.
-	MailboxDepth int
 }
 
 // pairKey identifies a directed sender->receiver pair for fate sequencing.
@@ -100,15 +103,28 @@ type World struct {
 	vanished  atomic.Uint64 // delayed messages whose endpoint died in flight
 }
 
+// Traffic counts what an environment's network did with the messages of one
+// run. Schedule-dependent — how many frames a resend timer retransmitted
+// before the ack won the race — so reported, never replayed.
+type Traffic struct {
+	Delivered, Dropped, Delayed, Vanished uint64
+}
+
+// traffic snapshots the world's delivery counters.
+func (w *World) traffic() Traffic {
+	return Traffic{
+		Delivered: w.delivered.Load(),
+		Dropped:   w.dropped.Load(),
+		Delayed:   w.delayed.Load(),
+		Vanished:  w.vanished.Load(),
+	}
+}
+
 // NewWorld builds a simulation universe for one seeded run. The virtual
 // clock starts at the Unix epoch so timestamps are reproducible.
 func NewWorld(cfg Config) *World {
-	depth := cfg.MailboxDepth
-	if depth <= 0 {
-		depth = DefaultMailboxDepth
-	}
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	mem := transport.NewMemNetworkDepth(depth)
+	mem := transport.NewMemNetworkDepth(mailboxDepth)
 	mem.Clock = clk
 	return &World{
 		cfg:  cfg,

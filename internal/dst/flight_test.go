@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/match"
 	"repro/internal/obsv/diag"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // TestCheckerFlightDumpOnViolation arms the invariant checker with two
@@ -91,6 +93,63 @@ func TestCheckerFlightDumpOnViolation(t *testing.T) {
 	for i := 1; i < len(tl); i++ {
 		if tl[i].Event.TS < tl[i-1].Event.TS {
 			t.Fatalf("timeline out of order at %d", i)
+		}
+	}
+}
+
+// TestCheckerRejectsUndecodableResponse pins the failure mode the checker
+// must not have: exporter processes are the only senders of KindResponse, so
+// one the mirror struct cannot read — garbage, or a gob whose connection
+// field was renamed away — is the response-order invariant going blind, and
+// must be latched rather than skipped. A well-formed response passes and is
+// counted, which is what lets a scenario notice a tap that saw nothing.
+func TestCheckerRejectsUndecodableResponse(t *testing.T) {
+	send := func(t *testing.T, payload []byte) *Checker {
+		chk := NewChecker()
+		net := chk.Wrap(transport.NewMemNetwork())
+		defer net.Close()
+		src, err := net.Register(transport.Proc("F", 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := net.Register(transport.Rep("F")); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Send(transport.Message{
+			Kind: transport.KindResponse, Dst: transport.Rep("F"), Payload: payload,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return chk
+	}
+	marshal := func(v any) []byte {
+		b, err := wire.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	good := send(t, marshal(respRecord{Conn: "U.f", ReqID: 0, Result: match.Match}))
+	if err := good.Err(); err != nil {
+		t.Fatalf("well-formed response rejected: %v", err)
+	}
+	if n := good.decisions(); n != 1 {
+		t.Fatalf("checker counted %d decisive responses, want 1", n)
+	}
+	for name, payload := range map[string][]byte{
+		"garbage": []byte("not a gob"),
+		"renamed field": marshal(struct {
+			Connection string
+			ReqID      int
+		}{"U.f", 0}),
+	} {
+		chk := send(t, payload)
+		if err := chk.Err(); err == nil || !strings.Contains(err.Error(), "not decodable") {
+			t.Errorf("%s: response passed the checker unseen (err = %v)", name, err)
+		}
+		if n := chk.decisions(); n != 0 {
+			t.Errorf("%s: counted as %d decisions", name, n)
 		}
 	}
 }

@@ -57,8 +57,7 @@ type RankFailureResult struct {
 	Digest uint64
 	Ops    int   // recorded outcomes folded into the digest
 	Agreed []int // the failed set every survivor agreed on
-	// Traffic counters (schedule-dependent; informational).
-	Delivered, Dropped, Delayed, Vanished uint64
+	Traffic
 }
 
 // ftRound runs one post-recovery round of the op mix on comm c and records
@@ -246,14 +245,11 @@ func RunRankFailure(cfg RankFailureConfig) (*RankFailureResult, error) {
 		}
 	}
 	return &RankFailureResult{
-		Seed:      cfg.Seed,
-		Digest:    out.digest(),
-		Ops:       out.total(),
-		Agreed:    ref,
-		Delivered: w.delivered.Load(),
-		Dropped:   w.dropped.Load(),
-		Delayed:   w.delayed.Load(),
-		Vanished:  w.vanished.Load(),
+		Seed:    cfg.Seed,
+		Digest:  out.digest(),
+		Ops:     out.total(),
+		Agreed:  ref,
+		Traffic: w.traffic(),
 	}, nil
 }
 

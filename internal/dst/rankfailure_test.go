@@ -21,6 +21,9 @@ func TestRankFailureDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("reference: digest %016x over %d outcomes", ref.Digest, ref.Ops)
+	if ref.Digest != goldenRankFailure || ref.Ops != 37 {
+		t.Fatalf("reference digest %016x over %d outcomes, golden %016x over 37", ref.Digest, ref.Ops, uint64(goldenRankFailure))
+	}
 
 	for _, seed := range []int64{1, 7, 4242} {
 		cfg := RankFailureConfig{Seed: seed, DelayPermille: 150}

@@ -108,8 +108,6 @@ func (w *World) stallErr(why string) error {
 	w.mu.Lock()
 	pending := len(w.events)
 	w.mu.Unlock()
-	return fmt.Errorf("dst: simulation stalled (%s): seed=%d vnow=%v pending_events=%d delivered=%d dropped=%d delayed=%d vanished=%d sleepers=%d",
-		why, w.cfg.Seed, w.clk.Now().Sub(time.Unix(0, 0)), pending,
-		w.delivered.Load(), w.dropped.Load(), w.delayed.Load(), w.vanished.Load(),
-		w.clk.Sleepers())
+	return fmt.Errorf("dst: simulation stalled (%s): seed=%d vnow=%v pending_events=%d traffic=%+v sleepers=%d",
+		why, w.cfg.Seed, w.clk.Now().Sub(time.Unix(0, 0)), pending, w.traffic(), w.clk.Sleepers())
 }

@@ -145,8 +145,8 @@ func TestFaultLatencyDuplicateRegister(t *testing.T) {
 	}
 }
 
-// TestFaultSeedsKeepTheirPattern pins what the harness's DefaultChaos plan
-// injects into one fixed send sequence under two of its seeds: the counts
+// TestFaultSeedsKeepTheirPattern pins what the harness's chaos fault plan
+// (chaosFaults) injects into one fixed send sequence under two of its seeds: the counts
 // are those of the injector before it had Latency and Jitter, which draw
 // nothing from the RNG while zero.
 func TestFaultSeedsKeepTheirPattern(t *testing.T) {
