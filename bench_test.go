@@ -147,7 +147,7 @@ func benchScenario(b *testing.B, fig string) {
 }
 
 // BenchmarkRedistribution measures an MxN redistribution (2x2 blocks to 8
-// row bands of a 512x512 array) through Pack/Unpack.
+// row bands of a 512x512 array) through PackInto/Unpack.
 func BenchmarkRedistribution(b *testing.B) {
 	src, _ := decomp.NewBlock2D(512, 512, 2, 2)
 	dst, _ := decomp.NewRowBlock(512, 512, 8)
@@ -167,10 +167,8 @@ func BenchmarkRedistribution(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, tr := range plan {
-			buf, err := srcGrids[tr.From].Pack(tr.Sub)
-			if err != nil {
-				b.Fatal(err)
-			}
+			buf := make([]float64, tr.Sub.Area())
+			srcGrids[tr.From].PackInto(tr.Sub, buf)
 			if err := dstGrids[tr.To].Unpack(tr.Sub, buf); err != nil {
 				b.Fatal(err)
 			}

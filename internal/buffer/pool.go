@@ -34,8 +34,7 @@ type PoolStats struct {
 //
 // A Pool is safe for concurrent use: the framework shares one pool among a
 // process's per-connection export pipelines, whose managers run under
-// independent per-connection locks (and whose sender goroutines borrow pack
-// scratch buffers concurrently).
+// independent per-connection locks.
 type Pool struct {
 	mu      sync.Mutex
 	depth   int

@@ -19,7 +19,7 @@ func (c *Comm) Barrier() error {
 			if err != nil {
 				return err
 			}
-			c.recycle(p)
+			c.pool.Put(p)
 			round++
 		}
 		return nil

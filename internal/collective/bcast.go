@@ -142,7 +142,7 @@ func (c *Comm) bcastDown(t bcastTree, s int, frame, src []byte) error {
 		if frame == nil {
 			frame = c.bcastFrame(t, s, src)
 		} else if restamp {
-			if !c.owned {
+			if c.pool == nil {
 				frame = copyBytes(frame)
 			}
 			c.stamp(frame)
@@ -151,11 +151,11 @@ func (c *Comm) bcastDown(t bcastTree, s int, frame, src []byte) error {
 		if err := c.sendRaw((t.rel+m+t.root)%c.size, opBcast, frame); err != nil {
 			return err
 		}
-		if c.owned {
+		if c.pool != nil {
 			frame = nil // the child's now
 		}
 	}
-	c.recycle(frame)
+	c.pool.Put(frame)
 	return nil
 }
 

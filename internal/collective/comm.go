@@ -16,15 +16,16 @@
 // Buffer ownership (docs/COLLECTIVES.md): a slice a collective returns
 // aliases neither an input nor a wire buffer, and a wire buffer is recycled
 // only by the one rank that received it, and only where the transport says
-// that rank holds it exclusively (Endpoint.RecvExclusive, read once by New).
+// that rank holds it exclusively (Endpoint.Frames is non-nil, read once by
+// New).
 package collective
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -35,23 +36,6 @@ import (
 // reporting a likely deadlock or dead peer. Coupled-simulation components can
 // legitimately drift apart by long compute phases, so this is generous.
 const DefaultTimeout = 60 * time.Second
-
-// poolMaxBytes bounds the bytes one Comm parks; a request examines the
-// poolProbe newest buffers of its size class (at steady state the newest
-// fits); poisonByte fills recycled buffers in race builds.
-const (
-	poolMaxBytes = 16 << 20
-	poolProbe    = 4
-	poisonByte   = 0xDB
-)
-
-// pool parks wire buffers by size class: class k holds capacities in
-// [2^k, 2^(k+1)) and a request looks only in its own class, so it never
-// receives over twice what it asked for. The first recycle makes the table.
-type pool struct {
-	class [][][]byte
-	held  int // sum of parked capacities
-}
 
 // defaultPendingCap bounds the parked out-of-order frame list: frames from a
 // failed or stale rank must not accumulate forever, so past the cap the
@@ -105,10 +89,12 @@ type Comm struct {
 	agreeSeq   uint32
 	pendingCap int
 
-	// owned is Dispatcher.RecvExclusive: a received payload is this rank's
-	// alone, so every send draws from pool and every receive refills it.
-	owned    bool
-	pool     pool
+	// pool is this Comm's own frame pool, non-nil where the transport's
+	// endpoint has one (a received payload is this rank's alone): every send
+	// draws from it and every receive refills it. nil pools nothing. seen is
+	// the pool's counters as last reported to the instruments.
+	pool     *buffer.Frames
+	seen     buffer.FrameStats
 	fscratch []float64
 	one      [1]float64 // the scalar reductions' vector
 
@@ -133,15 +119,18 @@ func New(d *transport.Dispatcher, program string, rank, size int) (*Comm, error)
 	if rank < 0 || rank >= size {
 		return nil, fmt.Errorf("collective: rank %d outside group of %d", rank, size)
 	}
-	return &Comm{
+	c := &Comm{
 		d: d, program: program, rank: rank, size: size,
-		owned:      d.RecvExclusive(),
 		timeout:    DefaultTimeout,
 		table:      DefaultTable(),
 		hlen:       hdrLen,
 		pendingCap: defaultPendingCap,
 		pending:    newPending(size, defaultPendingCap),
-	}, nil
+	}
+	if d.Frames() != nil {
+		c.pool = new(buffer.Frames)
+	}
+	return c, nil
 }
 
 // Rank returns this process's rank in the group.
@@ -159,9 +148,18 @@ func (c *Comm) SetTimeout(d time.Duration) { c.timeout = d }
 // SetInstruments attaches per-op/per-algorithm latency histograms (nil
 // detaches); the bytes this Comm has parked move to the new pool gauge.
 func (c *Comm) SetInstruments(ins *Instruments) {
-	c.ins.pooled(0, 0, -c.pool.held)
-	ins.pooled(0, 0, c.pool.held)
+	c.syncPool()
+	c.ins.pooled(0, 0, -c.seen.Held)
+	ins.pooled(0, 0, c.seen.Held)
 	c.ins = ins
+}
+
+// syncPool moves the pool instruments by what the pool did since the last
+// sync (Comms sharing instruments sum).
+func (c *Comm) syncPool() {
+	s := c.pool.Stats()
+	c.ins.pooled(s.Hits-c.seen.Hits, s.Misses-c.seen.Misses, s.Held-c.seen.Held)
+	c.seen = s
 }
 
 // Instruments returns the attached instruments (possibly nil).
@@ -179,50 +177,6 @@ func (c *Comm) SetTable(t *Table) {
 		t = DefaultTable()
 	}
 	c.table = t
-}
-
-// buf returns a wire buffer of length n > 0 for the caller to overwrite: on
-// an owning Comm the newest pooled one of n's class that fits, else fresh.
-func (c *Comm) buf(n int) []byte {
-	if !c.owned {
-		return make([]byte, n)
-	}
-	if k := bits.Len(uint(n)) - 1; k < len(c.pool.class) {
-		s := c.pool.class[k]
-		for i := len(s) - 1; i >= 0 && i >= len(s)-poolProbe; i-- {
-			if b := s[i]; cap(b) >= n {
-				s[i], s[len(s)-1] = s[len(s)-1], nil
-				c.pool.class[k] = s[:len(s)-1]
-				c.pool.held -= cap(b)
-				c.ins.pooled(1, 0, -cap(b))
-				return b[:n]
-			}
-		}
-	}
-	c.ins.pooled(0, 1, 0)
-	return make([]byte, n)
-}
-
-// recycle parks a frame this rank received and has finished reading. Race
-// builds poison it first, so a result or a later send that still aliases it
-// reads garbage and fails its test instead of passing by luck.
-func (c *Comm) recycle(b []byte) {
-	if !c.owned || cap(b) == 0 || c.pool.held+cap(b) > poolMaxBytes {
-		return
-	}
-	if raceEnabled {
-		b = b[:cap(b)]
-		for i := range b {
-			b[i] = poisonByte
-		}
-	}
-	if c.pool.class == nil {
-		c.pool.class = make([][][]byte, bits.UintSize)
-	}
-	k := bits.Len(uint(cap(b))) - 1
-	c.pool.class[k] = append(c.pool.class[k], b)
-	c.pool.held += cap(b)
-	c.ins.pooled(0, 0, cap(b))
 }
 
 // scratch returns the reused float64 decode buffer, valid until the next
@@ -296,6 +250,7 @@ func (c *Comm) run(op opID, algo *Algo, body func(seq uint32) error) error {
 	}
 	if c.ins != nil {
 		c.ins.observe(op, *algo, time.Since(start).Nanoseconds())
+		c.syncPool()
 	}
 	return nil
 }
@@ -322,7 +277,7 @@ func (c *Comm) sendRaw(to int, op opID, payload []byte) error {
 
 // frame returns a wire buffer for n body bytes, header h and trailer written.
 func (c *Comm) frame(h uint64, n int) []byte {
-	b := c.buf(c.hlen + n)
+	b := c.pool.Get(c.hlen + n)
 	putHdr(b, h)
 	if c.hlen != hdrLen {
 		c.stamp(b)
@@ -426,7 +381,7 @@ func (c *Comm) recvInto(from int, op opID, h uint64, dst []float64) error {
 	if err := wire.DecodeFloat64sInto(p[c.hlen:], dst); err != nil {
 		return fmt.Errorf("collective: %s from rank %d: %w", opTags[op], from, err)
 	}
-	c.recycle(p)
+	c.pool.Put(p)
 	return nil
 }
 

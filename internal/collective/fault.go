@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/buffer"
 	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 )
@@ -736,7 +737,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 		timeout: c.timeout, table: c.table,
 		epoch: c.epoch + 1, peers: newPeers,
 		pendingCap: c.pendingCap, pending: newPending(len(newPeers), c.pendingCap),
-		owned: c.owned, pool: c.pool, fscratch: c.fscratch,
+		pool: c.pool, seen: c.seen, fscratch: c.fscratch,
 		ins: c.ins, hlen: c.hlen, board: c.board, flight: c.flight, dclk: c.dclk,
 		timer: c.timer, clk: c.clk, armedAt: c.armedAt,
 	}
@@ -767,7 +768,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 	// Poison the parent so stray use fails instead of stealing the
 	// successor's frames off the shared dispatcher.
 	c.revoked = true
-	c.pending, c.pointPending, c.pool, c.fscratch, c.timer = nil, nil, pool{}, nil, nil
+	c.pending, c.pointPending, c.pool, c.seen, c.fscratch, c.timer = nil, nil, nil, buffer.FrameStats{}, nil, nil
 	nc.ins.incFailure(ctrShrinks)
 	nc.recordFT(diag.KindShrink, int64(nc.epoch), int64(nc.size), fmt.Sprintf("%d->%d", c.rank, newRank))
 	return nc, nil

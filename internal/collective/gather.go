@@ -52,7 +52,7 @@ func (c *Comm) own(frames [][]byte, mine []byte) {
 			all = append(all, p...)
 		} else {
 			all = append(all, p[c.hlen:]...)
-			c.recycle(p)
+			c.pool.Put(p)
 		}
 		frames[r] = all[off:len(all):len(all)]
 	}
@@ -98,7 +98,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 				return err
 			}
 			out = copyBytes(p[c.hlen:])
-			c.recycle(p)
+			c.pool.Put(p)
 			return nil
 		}
 		if len(parts) != c.size {

@@ -30,7 +30,7 @@ func TestByteResultsOwnTheirBytes(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			runGroup(t, n, func(c *Comm) error {
-				if !c.owned {
+				if c.pool == nil {
 					return fmt.Errorf("a Comm over MemNetwork does not recycle")
 				}
 				me := c.Rank()
@@ -118,32 +118,30 @@ func TestByteResultsOwnTheirBytes(t *testing.T) {
 }
 
 // TestRecyclePoisons pins the use-after-recycle detector: a recycled frame
-// goes to the pool and comes back for a request of its size, and under the
-// race detector — and only there — it is overwritten to its full capacity
-// first, so anything still aliasing it reads poison. A Comm over a transport
-// whose payloads are not exclusive recycles nothing.
+// goes to the Comm's pool and comes back for a request of its size, and
+// under the race detector — and only there — it is overwritten to its full
+// capacity first, so anything still aliasing it reads poison. A Comm over a
+// transport whose payloads are not exclusive has no pool and recycles
+// nothing.
 func TestRecyclePoisons(t *testing.T) {
 	runGroup(t, 1, func(c *Comm) error {
 		b := bytes.Repeat([]byte{1}, 100)[:60]
-		c.recycle(b)
-		if c.pool.held != cap(b) {
-			return fmt.Errorf("pool holds %d bytes after recycling cap %d", c.pool.held, cap(b))
-		}
-		want := byte(1)
-		if raceEnabled {
-			want = poisonByte
+		c.pool.Put(b)
+		if held := c.pool.Stats().Held; held != cap(b) {
+			return fmt.Errorf("pool holds %d bytes after recycling cap %d", held, cap(b))
 		}
 		for i, v := range b[:cap(b)] {
-			if v != want {
-				return fmt.Errorf("recycled byte %d = %#x, want %#x (race build: %v)", i, v, want, raceEnabled)
+			if (v != 1) != raceEnabled {
+				return fmt.Errorf("recycled byte %d = %#x (race build: %v)", i, v, raceEnabled)
 			}
 		}
-		if got := c.buf(80); &got[0] != &b[0] || len(got) != 80 || c.pool.held != 0 {
-			return fmt.Errorf("buf(80) did not return the recycled buffer (held %d)", c.pool.held)
+		if got := c.pool.Get(80); &got[0] != &b[0] || len(got) != 80 || c.pool.Stats().Held != 0 {
+			return fmt.Errorf("Get(80) did not return the recycled buffer (held %d)", c.pool.Stats().Held)
 		}
-		c.owned = false
-		c.recycle(b)
-		if c.pool.held != 0 || b[0] != want {
+		want := b[0]
+		c.pool = nil
+		c.pool.Put(b)
+		if c.pool.Stats().Held != 0 || b[0] != want {
 			return fmt.Errorf("a Comm that does not own its frames recycled one")
 		}
 		return nil
@@ -153,11 +151,11 @@ func TestRecyclePoisons(t *testing.T) {
 // TestPoolFitAndBound pins the pool's two bounds: a request is served only
 // from its own power-of-two class and only by a buffer that fits, so it
 // never receives more than twice what it asked for, and the bytes parked
-// never exceed poolMaxBytes.
+// never exceed 16 MiB.
 func TestPoolFitAndBound(t *testing.T) {
 	runGroup(t, 1, func(c *Comm) error {
 		for _, n := range []int{64, 100, 127, 128, 4096} {
-			c.recycle(make([]byte, n))
+			c.pool.Put(make([]byte, n))
 		}
 		for _, tc := range []struct {
 			n, wantCap int
@@ -171,24 +169,27 @@ func TestPoolFitAndBound(t *testing.T) {
 			{2048, 2048, false}, // the 4096 sits a class up, where a request could get 4x
 			{4096, 4096, true},
 		} {
-			held := c.pool.held
-			b := c.buf(tc.n)
-			if len(b) != tc.n || cap(b) != tc.wantCap || tc.hit != (c.pool.held == held-cap(b)) {
-				return fmt.Errorf("buf(%d) = len %d cap %d with %d -> %d bytes parked, want cap %d, hit %v",
-					tc.n, len(b), cap(b), held, c.pool.held, tc.wantCap, tc.hit)
+			before := c.pool.Stats()
+			b := c.pool.Get(tc.n)
+			after := c.pool.Stats()
+			if len(b) != tc.n || cap(b) != tc.wantCap || tc.hit != (after.Hits == before.Hits+1) ||
+				tc.hit != (after.Held == before.Held-cap(b)) {
+				return fmt.Errorf("Get(%d) = len %d cap %d with %d -> %d bytes parked, want cap %d, hit %v",
+					tc.n, len(b), cap(b), before.Held, after.Held, tc.wantCap, tc.hit)
 			}
 		}
-		if c.pool.held != 64 {
-			return fmt.Errorf("pool holds %d bytes, want the one 64-byte buffer", c.pool.held)
+		if held := c.pool.Stats().Held; held != 64 {
+			return fmt.Errorf("pool holds %d bytes, want the one 64-byte buffer", held)
 		}
+		const bound = 16 << 20
 		for i := 0; i < 40; i++ {
-			c.recycle(make([]byte, 1<<20))
+			c.pool.Put(make([]byte, 1<<20))
 		}
-		if c.pool.held > poolMaxBytes || c.pool.held < poolMaxBytes-1<<20 {
-			return fmt.Errorf("pool holds %d bytes, bound %d", c.pool.held, poolMaxBytes)
+		held := c.pool.Stats().Held
+		if held > bound || held < bound-1<<20 {
+			return fmt.Errorf("pool holds %d bytes, bound %d", held, bound)
 		}
-		held := c.pool.held
-		if c.recycle(nil); c.pool.held != held {
+		if c.pool.Put(nil); c.pool.Stats().Held != held {
 			return fmt.Errorf("pool parked a nil buffer")
 		}
 		return nil

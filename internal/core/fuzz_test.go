@@ -1,39 +1,41 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/decomp"
 )
 
-// FuzzDecodeData: the binary data-message decoder must never panic on
-// malformed payloads and must round-trip valid ones.
+// FuzzDecodeData: the data-message header parser and the row decode behind
+// it must never panic on malformed payloads, and a payload they accept must
+// come back byte for byte when its values are packed again.
 func FuzzDecodeData(f *testing.F) {
+	g := decomp.NewGrid(decomp.NewRect(0, 0, 3, 3))
+	g.Fill(func(r, c int) float64 { return float64(3*r+c) + 0.5 })
+	valid, _ := appendData(nil, 3, 19.6, g, decomp.NewRect(1, 1, 3, 3))
+	empty, _ := appendData(nil, 0, 0, g, decomp.Rect{})
 	f.Add([]byte{})
 	f.Add(make([]byte, dataHeaderSize-1))
-	f.Add(encodeData(3, 19.6, decomp.NewRect(0, 0, 2, 2), []float64{1, 2, 3, 4}))
-	f.Add(encodeData(0, 0, decomp.Rect{}, nil))
+	f.Add(valid)
+	f.Add(empty)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		reqID, matchTS, sub, vals, err := decodeData(b)
+		reqID, matchTS, sub, body, err := parseData(b)
 		if err != nil {
 			return
 		}
-		if len(vals) != sub.Area() {
-			t.Fatalf("decoded %d values for %v", len(vals), sub)
-		}
-		enc := encodeData(reqID, matchTS, sub, vals)
-		if len(enc) != len(b) {
-			// Rect normalization may differ for degenerate rects; only
-			// demand byte-identical round trips for non-empty payloads.
-			if sub.Area() > 0 {
-				t.Fatalf("round trip length %d != %d", len(enc), len(b))
-			}
+		if r, c := sub.Rows(), sub.Cols(); r < 0 || c < 0 || r > len(body) || c > len(body) {
+			// Extents that overflow int: no plan holds such a rectangle, so
+			// Import refuses the piece before decoding it.
 			return
 		}
-		for i := range b {
-			if enc[i] != b[i] && sub.Area() > 0 {
-				t.Fatalf("round trip differs at %d", i)
-			}
+		got := decomp.Grid{Block: sub, Data: make([]float64, sub.Area())}
+		if err := got.UnpackFrom(sub, body); err != nil {
+			t.Fatalf("accepted payload for %v does not decode: %v", sub, err)
+		}
+		enc, err := appendData(nil, reqID, matchTS, &got, sub)
+		if err != nil || !bytes.Equal(enc, b) {
+			t.Fatalf("round trip of %d bytes gave %d bytes, %v", len(b), len(enc), err)
 		}
 	})
 }

@@ -116,26 +116,29 @@ type errorMsg struct {
 	Text string
 }
 
-// dataMsg header layout (binary, little-endian), followed by raw float64s:
+// KindData payload layout (binary, little-endian): a header, then the
+// sub-rectangle's float64s, row-major (decomp.Grid.AppendPacked):
 //
 //	reqID   int64
 //	matchTS float64
 //	r0,c0,r1,c1 int64 (the global sub-rectangle)
 const dataHeaderSize = 8 * 6
 
-// encodeData builds a KindData payload from a packed sub-rectangle.
-func encodeData(reqID int, matchTS float64, sub decomp.Rect, vals []float64) []byte {
-	buf := make([]byte, 0, dataHeaderSize+wire.Float64sSize(len(vals)))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(reqID)))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(matchTS))
-	for _, v := range []int{sub.R0, sub.C0, sub.R1, sub.C1} {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
+// appendData appends the KindData payload for sub of g to dst, packing the
+// values straight from g.
+func appendData(dst []byte, reqID int, matchTS float64, g *decomp.Grid, sub decomp.Rect) ([]byte, error) {
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(reqID)))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(matchTS))
+	for _, v := range [...]int{sub.R0, sub.C0, sub.R1, sub.C1} {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(int64(v)))
 	}
-	return wire.AppendFloat64s(buf, vals)
+	return g.AppendPacked(dst, sub)
 }
 
-// decodeData parses a KindData payload.
-func decodeData(b []byte) (reqID int, matchTS float64, sub decomp.Rect, vals []float64, err error) {
+// parseData splits a KindData payload into its header fields and its body,
+// the encoded values (decomp.Grid.UnpackFrom), which must be sub's size.
+// Only the importer's plan vouches for sub itself.
+func parseData(b []byte) (reqID int, matchTS float64, sub decomp.Rect, body []byte, err error) {
 	if len(b) < dataHeaderSize {
 		return 0, 0, decomp.Rect{}, nil, fmt.Errorf("core: data message of %d bytes", len(b))
 	}
@@ -147,13 +150,9 @@ func decodeData(b []byte) (reqID int, matchTS float64, sub decomp.Rect, vals []f
 		int(int64(binary.LittleEndian.Uint64(b[32:]))),
 		int(int64(binary.LittleEndian.Uint64(b[40:]))),
 	)
-	vals, err = wire.DecodeFloat64s(b[dataHeaderSize:])
-	if err != nil {
-		return 0, 0, decomp.Rect{}, nil, err
-	}
-	if len(vals) != sub.Area() {
+	if body = b[dataHeaderSize:]; len(body) != wire.Float64sSize(sub.Area()) {
 		return 0, 0, decomp.Rect{}, nil,
-			fmt.Errorf("core: data message carries %d values for %v (%d cells)", len(vals), sub, sub.Area())
+			fmt.Errorf("core: data message carries %d bytes for %v (%d cells)", len(body), sub, sub.Area())
 	}
-	return reqID, matchTS, sub, vals, nil
+	return reqID, matchTS, sub, body, nil
 }

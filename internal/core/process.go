@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -46,7 +47,7 @@ type Process struct {
 	ring   *obsv.Ring
 
 	// pool is the process-wide buffer pool shared by every connection's
-	// manager and by the data-plane pack scratch buffers.
+	// manager.
 	pool *buffer.Pool
 
 	exps map[string]*exportRegion
@@ -232,6 +233,11 @@ type importState struct {
 	// the recovery checkpoint (nil when recovery is off).
 	issued []float64
 
+	// frames takes every data frame back once decoded or dropped; have marks
+	// the incoming transfers the running Import has unpacked.
+	frames *buffer.Frames
+	have   []bool
+
 	pmu    sync.Mutex
 	pieces map[int][]piece
 	// completedThrough is the fully-consumed-imports watermark: data frames
@@ -241,16 +247,18 @@ type importState struct {
 	signal           chan struct{}
 }
 
+// piece is one received data frame, filed raw for Import to decode.
 type piece struct {
 	matchTS float64
 	sub     decomp.Rect
-	vals    []float64
+	frame   []byte
 }
 
 func (st *importState) addPiece(reqID int, p piece) {
 	st.pmu.Lock()
 	if reqID < st.completedThrough {
 		st.pmu.Unlock()
+		st.frames.Put(p.frame)
 		return
 	}
 	if st.pieces == nil {
@@ -272,8 +280,11 @@ func (st *importState) completed(reqID int) {
 	if reqID+1 > st.completedThrough {
 		st.completedThrough = reqID + 1
 	}
-	for id := range st.pieces {
+	for id, ps := range st.pieces {
 		if id < st.completedThrough {
+			for _, pc := range ps {
+				st.frames.Put(pc.frame)
+			}
 			delete(st.pieces, id)
 		}
 	}
@@ -389,8 +400,7 @@ func (p *Process) start() {
 	}
 	// One buffer pool per process: every connection's manager recycles from
 	// the same power-of-two size classes, so a freed buffer of one
-	// connection serves the next export of any other, and the data plane's
-	// pack scratch buffers recycle through it too (the pool is
+	// connection serves the next export of any other (the pool is
 	// concurrency-safe; the per-connection locks are independent).
 	reg := fw.obs.Registry
 	procLabels := []obsv.Label{obsv.L("program", p.prog.name), obsv.L("rank", strconv.Itoa(p.rank))}
@@ -488,6 +498,7 @@ func (p *Process) start() {
 				block:   def.layout.Block(p.rank),
 				answers: make(chan answerMsg, 4096),
 				signal:  make(chan struct{}, 1),
+				frames:  p.d.Frames(),
 			}
 			if ps := p.prog.rec.procState(p.rank); ps != nil {
 				if ims, ok := ps.Imports[key]; ok {
@@ -851,9 +862,10 @@ func (p *Process) handleData(m transport.Message) {
 	st, ok := p.impByKey[m.Tag]
 	if !ok {
 		p.prog.proto.dataDropped.Inc()
+		p.d.Frames().Put(m.Payload)
 		return
 	}
-	reqID, matchTS, sub, vals, err := decodeData(m.Payload)
+	reqID, matchTS, sub, _, err := parseData(m.Payload)
 	if err != nil {
 		p.prog.fail(err)
 		return
@@ -861,10 +873,10 @@ func (p *Process) handleData(m transport.Message) {
 	if p.ring != nil {
 		p.ring.Record(obsv.Span{
 			Name: "data.recv", TS: p.tracer.Now(),
-			Flow: m.Trace, Arg: int64(len(vals)), Detail: m.Tag,
+			Flow: m.Trace, Arg: int64(sub.Area()), Detail: m.Tag,
 		})
 	}
-	st.addPiece(reqID, piece{matchTS: matchTS, sub: sub, vals: vals})
+	st.addPiece(reqID, piece{matchTS: matchTS, sub: sub, frame: m.Payload})
 }
 
 // acquirePermit reserves one pipeline slot, blocking (and accounting the
@@ -954,8 +966,7 @@ func (p *Process) runJobAsync(ec *exportConn, j exportJob) {
 
 // fanOut transfers matched data objects to the importer ranks along this
 // rank's share of the redistribution plan, one worker per destination rank
-// up to exportWorkers(), each packing into scratch recycled through
-// the process's buffer pool.
+// up to exportWorkers().
 func (p *Process) fanOut(ec *exportConn, sends []buffer.SendItem, flows []uint64) {
 	n := len(ec.outgoing)
 	if n == 0 {
@@ -990,30 +1001,29 @@ func (p *Process) fanOut(ec *exportConn, sends []buffer.SendItem, flows []uint64
 }
 
 // sendTransfer packs and sends every matched object's piece for one outgoing
-// transfer (one destination rank). The pack scratch is borrowed from the
-// process pool; encodeData copies it into the frame payload, so it recycles
-// immediately.
+// transfer (one destination rank), each straight into a pooled frame.
 func (p *Process) sendTransfer(ec *exportConn, tr *decomp.Transfer, sends []buffer.SendItem, flows []uint64) {
-	scratch := p.pool.Get(tr.Sub.Area())
-	defer p.pool.Put(scratch)
+	frames := p.d.Frames()
 	for si, s := range sends {
 		g := decomp.Grid{Block: ec.block, Data: s.Data}
-		if !g.Block.ContainsRect(tr.Sub) {
-			p.prog.fail(fmt.Errorf("core: %s: transfer %v outside block %v", p.addr(), tr.Sub, g.Block))
+		frame := frames.Get(dataHeaderSize + wire.Float64sSize(tr.Sub.Area()))
+		payload, err := appendData(frame[:0], s.ReqIndex, s.MatchTS, &g, tr.Sub)
+		if err != nil {
+			p.prog.fail(fmt.Errorf("core: %s: %w", p.addr(), err))
 			return
 		}
-		g.PackInto(tr.Sub, scratch)
 		ec.dataSends.Inc()
 		var flow uint64
 		if si < len(flows) {
 			flow = flows[si]
 		}
-		err := p.d.Send(transport.Message{
+		err = p.d.Send(transport.Message{
 			Kind:    transport.KindData,
 			Dst:     transport.Proc(ec.cc.Import.Program, tr.To),
 			Tag:     ec.key,
 			Trace:   flow,
-			Payload: encodeData(s.ReqIndex, s.MatchTS, tr.Sub, scratch),
+			Payload: payload,
+			Pooled:  frames != nil,
 		})
 		if err != nil {
 			if p.checkAbort() != nil {
@@ -1264,39 +1274,43 @@ func (p *Process) Import(region string, ts float64, dst []float64) (ImportResult
 		return ImportResult{Matched: false}, nil
 	}
 
-	// Collect this rank's pieces of the matched distributed object. Recovery
-	// resends can duplicate a piece already received from the sender's dead
-	// incarnation; the sub-rectangle identifies it (the redistribution plan
-	// assigns each source rank disjoint sub-rectangles), so repeats are
-	// skipped rather than double-counted.
+	// Collect this rank's pieces of the matched distributed object, decoding
+	// each into dst and handing its frame back. Only planned sub-rectangles
+	// count, each once: a recovery resend repeating a piece is skipped, and
+	// one the plan does not name (stray or forged) fails the import rather
+	// than stand in for a missing one.
 	need := len(st.incoming)
+	if len(st.have) != need {
+		st.have = make([]bool, need)
+	}
+	clear(st.have)
 	g := decomp.Grid{Block: st.block, Data: dst}
 	got := 0
-	var seen map[decomp.Rect]bool
 	for got < need {
 		st.pmu.Lock()
 		ps := st.pieces[reqID]
 		delete(st.pieces, reqID)
 		st.pmu.Unlock()
 		for _, pc := range ps {
-			if seen[pc.sub] {
-				continue
-			}
-			if pc.matchTS != ans.MatchTS {
-				err := fmt.Errorf("core: %s: piece for req %d has timestamp %g, answer said %g",
+			var err error
+			switch k := slices.IndexFunc(st.incoming, func(tr decomp.Transfer) bool { return tr.Sub == pc.sub }); {
+			case k < 0:
+				err = fmt.Errorf("core: %s: req %d delivered %v, no piece of this rank's plan",
+					p.addr(), reqID, pc.sub)
+			case st.have[k]:
+			case pc.matchTS != ans.MatchTS:
+				err = fmt.Errorf("core: %s: piece for req %d has timestamp %g, answer said %g",
 					p.addr(), reqID, pc.matchTS, ans.MatchTS)
+			default:
+				err = g.UnpackFrom(pc.sub, pc.frame[dataHeaderSize:])
+				st.have[k] = true
+				got++
+			}
+			st.frames.Put(pc.frame)
+			if err != nil {
 				p.prog.fail(err)
 				return ImportResult{}, err
 			}
-			if err := g.Unpack(pc.sub, pc.vals); err != nil {
-				p.prog.fail(err)
-				return ImportResult{}, err
-			}
-			if seen == nil {
-				seen = make(map[decomp.Rect]bool, need)
-			}
-			seen[pc.sub] = true
-			got++
 		}
 		if got >= need {
 			break

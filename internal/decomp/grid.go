@@ -1,6 +1,10 @@
 package decomp
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/wire"
+)
 
 // Grid is one process's local block of a distributed 2-D float64 array,
 // stored row-major, addressed by global coordinates.
@@ -42,24 +46,6 @@ func (g *Grid) Fill(f func(row, col int) float64) {
 	}
 }
 
-// Clone returns a deep copy of the grid.
-func (g *Grid) Clone() *Grid {
-	out := &Grid{Block: g.Block, Data: make([]float64, len(g.Data))}
-	copy(out.Data, g.Data)
-	return out
-}
-
-// Pack copies the global sub-rectangle sub (which must lie inside the grid's
-// block) into a fresh contiguous row-major buffer.
-func (g *Grid) Pack(sub Rect) ([]float64, error) {
-	if !g.Block.ContainsRect(sub) {
-		return nil, fmt.Errorf("decomp: pack %v outside block %v", sub, g.Block)
-	}
-	out := make([]float64, sub.Area())
-	g.PackInto(sub, out)
-	return out, nil
-}
-
 // PackInto copies sub into dst, which must have sub.Area() elements; sub
 // must lie inside the grid's block.
 func (g *Grid) PackInto(sub Rect, dst []float64) {
@@ -70,8 +56,36 @@ func (g *Grid) PackInto(sub Rect, dst []float64) {
 	}
 }
 
-// Unpack copies a contiguous row-major buffer (as produced by Pack) into the
+// AppendPacked appends the wire encoding (wire.AppendFloat64s) of PackInto's
+// output for sub to dst, row by row, without the intermediate []float64.
+func (g *Grid) AppendPacked(dst []byte, sub Rect) ([]byte, error) {
+	if !g.Block.ContainsRect(sub) {
+		return dst, fmt.Errorf("decomp: pack %v outside block %v", sub, g.Block)
+	}
+	w := sub.Cols()
+	for r := sub.R0; r < sub.R1; r++ {
+		off := g.index(r, sub.C0)
+		dst = wire.AppendFloat64s(dst, g.Data[off:off+w])
+	}
+	return dst, nil
+}
+
+// UnpackFrom decodes AppendPacked's encoding of sub, b, straight into the
 // global sub-rectangle sub of this grid.
+func (g *Grid) UnpackFrom(sub Rect, b []byte) error {
+	if !g.Block.ContainsRect(sub) || len(b) != wire.Float64sSize(sub.Area()) {
+		return fmt.Errorf("decomp: unpack %d bytes into %v of block %v", len(b), sub, g.Block)
+	}
+	w := sub.Cols()
+	for r, row := sub.R0, wire.Float64sSize(w); r < sub.R1; r, b = r+1, b[row:] {
+		off := g.index(r, sub.C0)
+		_ = wire.DecodeFloat64sInto(b[:row], g.Data[off:off+w]) // lengths checked above
+	}
+	return nil
+}
+
+// Unpack copies a contiguous row-major buffer (as produced by PackInto) into
+// the global sub-rectangle sub of this grid.
 func (g *Grid) Unpack(sub Rect, vals []float64) error {
 	if !g.Block.ContainsRect(sub) {
 		return fmt.Errorf("decomp: unpack %v outside block %v", sub, g.Block)

@@ -1,7 +1,10 @@
 package decomp
 
 import (
+	"bytes"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 func TestGridAtSet(t *testing.T) {
@@ -27,24 +30,12 @@ func TestGridFill(t *testing.T) {
 	}
 }
 
-func TestGridClone(t *testing.T) {
-	g := NewGrid(NewRect(0, 0, 2, 2))
-	g.Set(0, 0, 7)
-	h := g.Clone()
-	h.Set(0, 0, 9)
-	if g.At(0, 0) != 7 {
-		t.Error("clone shares storage")
-	}
-}
-
 func TestGridPackUnpack(t *testing.T) {
 	g := NewGrid(NewRect(0, 0, 4, 4))
 	g.Fill(func(r, c int) float64 { return float64(r*4 + c) })
 	sub := NewRect(1, 1, 3, 4)
-	buf, err := g.Pack(sub)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := make([]float64, sub.Area())
+	g.PackInto(sub, buf)
 	want := []float64{5, 6, 7, 9, 10, 11}
 	for i, v := range want {
 		if buf[i] != v {
@@ -70,14 +61,49 @@ func TestGridPackUnpack(t *testing.T) {
 
 func TestGridPackErrors(t *testing.T) {
 	g := NewGrid(NewRect(0, 0, 4, 4))
-	if _, err := g.Pack(NewRect(0, 0, 5, 4)); err == nil {
-		t.Error("pack outside block accepted")
+	if b, err := g.AppendPacked([]byte{1}, NewRect(0, 0, 5, 4)); err == nil || len(b) != 1 {
+		t.Errorf("pack outside block: %d bytes, %v", len(b), err)
 	}
 	if err := g.Unpack(NewRect(0, 0, 5, 4), nil); err == nil {
 		t.Error("unpack outside block accepted")
 	}
 	if err := g.Unpack(NewRect(0, 0, 2, 2), make([]float64, 3)); err == nil {
 		t.Error("unpack with wrong value count accepted")
+	}
+	if err := g.UnpackFrom(NewRect(0, 0, 5, 4), make([]byte, 160)); err == nil {
+		t.Error("decode outside block accepted")
+	}
+	if err := g.UnpackFrom(NewRect(0, 0, 2, 2), make([]byte, 33)); err == nil {
+		t.Error("decode with wrong byte count accepted")
+	}
+}
+
+// TestGridAppendPackedUnpackFrom pins the fused pair to the two-step path it
+// replaces: AppendPacked writes exactly wire.AppendFloat64s of PackInto's
+// output, and UnpackFrom of those bytes writes what Unpack would.
+func TestGridAppendPackedUnpackFrom(t *testing.T) {
+	g := NewGrid(NewRect(2, 3, 7, 9))
+	g.Fill(func(r, c int) float64 { return float64(r*100+c) + 0.25 })
+	for _, sub := range []Rect{NewRect(3, 4, 6, 8), NewRect(2, 3, 7, 9), NewRect(4, 5, 5, 6), NewRect(4, 5, 4, 5)} {
+		vals := make([]float64, sub.Area())
+		g.PackInto(sub, vals)
+		want := wire.AppendFloat64s([]byte{0xAA}, vals)
+		got, err := g.AppendPacked([]byte{0xAA}, sub)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("AppendPacked(%v) = %x, %v; want %x", sub, got, err, want)
+		}
+		h, ref := NewGrid(g.Block), NewGrid(g.Block)
+		if err := h.UnpackFrom(sub, got[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Unpack(sub, vals); err != nil {
+			t.Fatal(err)
+		}
+		for i := range h.Data {
+			if h.Data[i] != ref.Data[i] {
+				t.Fatalf("UnpackFrom(%v): element %d = %v, want %v", sub, i, h.Data[i], ref.Data[i])
+			}
+		}
 	}
 }
 

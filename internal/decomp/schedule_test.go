@@ -160,9 +160,9 @@ func TestSchedulePropertyAreaConserved(t *testing.T) {
 	}
 }
 
-// TestRedistributeEndToEnd simulates a full redistribution through
-// Pack/Unpack and verifies the destination grids reconstruct the source
-// array exactly.
+// TestRedistributeEndToEnd simulates a full redistribution through the wire
+// encoding (AppendPacked/UnpackFrom, the coupled data plane's path) and
+// verifies the destination grids reconstruct the source array exactly.
 func TestRedistributeEndToEnd(t *testing.T) {
 	src := mustLayout(NewBlock2D(12, 12, 2, 2))
 	dst := mustLayout(NewRowBlock(12, 12, 3))
@@ -183,11 +183,11 @@ func TestRedistributeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tr := range plan {
-		buf, err := srcGrids[tr.From].Pack(tr.Sub)
+		buf, err := srcGrids[tr.From].AppendPacked(nil, tr.Sub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dstGrids[tr.To].Unpack(tr.Sub, buf); err != nil {
+		if err := dstGrids[tr.To].UnpackFrom(tr.Sub, buf); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 )
@@ -272,9 +273,9 @@ type viewEndpoint struct {
 
 func (e *viewEndpoint) Addr() transport.Addr { return e.inner.Addr() }
 
-// RecvExclusive is false: an injector promises nothing about the payloads
-// it lets through.
-func (e *viewEndpoint) RecvExclusive() bool { return false }
+// Frames is nil: an injector promises nothing about the payloads it lets
+// through.
+func (e *viewEndpoint) Frames() *buffer.Frames { return nil }
 
 // Send draws the message's fate: erased, scheduled for a future virtual
 // instant, or delivered immediately. Drops and delays report success to the

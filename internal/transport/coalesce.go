@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -359,9 +360,9 @@ type coalescingEndpoint struct {
 
 func (e *coalescingEndpoint) Addr() Addr { return e.inner.Addr() }
 
-// RecvExclusive is false: the items of one batch are windows of the same
-// envelope payload, delivered to different endpoints.
-func (e *coalescingEndpoint) RecvExclusive() bool { return false }
+// Frames is nil: the items of one batch are windows of the same envelope
+// payload, delivered to different endpoints.
+func (e *coalescingEndpoint) Frames() *buffer.Frames { return nil }
 
 // Send implements Endpoint: small messages join the shared per-program
 // batch, bulk ones flush it and pass through.

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/vclock"
 )
 
@@ -152,9 +153,9 @@ func (d *Dispatcher) Addr() Addr { return d.ep.Addr() }
 // Send forwards to the underlying endpoint.
 func (d *Dispatcher) Send(msg Message) error { return d.ep.Send(msg) }
 
-// RecvExclusive passes the endpoint's answer up: the queues hold a message
-// until one receiver pops it and keep nothing after.
-func (d *Dispatcher) RecvExclusive() bool { return d.ep.RecvExclusive() }
+// Frames passes the endpoint's answer up: the queues hold a message until
+// one receiver pops it and keep nothing after.
+func (d *Dispatcher) Frames() *buffer.Frames { return d.ep.Frames() }
 
 func (d *Dispatcher) queue(kind Kind) *queue {
 	if d.merged != nil {

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/vclock"
 )
 
@@ -210,9 +211,9 @@ func (e *faultEndpoint) pump() {
 
 func (e *faultEndpoint) Addr() Addr { return e.inner.Addr() }
 
-// RecvExclusive is false: an injector promises nothing about the payloads
-// it lets through.
-func (e *faultEndpoint) RecvExclusive() bool { return false }
+// Frames is nil: an injector promises nothing about the payloads it lets
+// through.
+func (e *faultEndpoint) Frames() *buffer.Frames { return nil }
 
 func (e *faultEndpoint) Send(msg Message) error {
 	select {

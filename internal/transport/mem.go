@@ -3,6 +3,7 @@ package transport
 import (
 	"sync"
 
+	"repro/internal/buffer"
 	"repro/internal/vclock"
 )
 
@@ -23,6 +24,8 @@ type MemNetwork struct {
 	seq    map[seqKey]uint64
 	depth  int
 	closed bool
+
+	frames buffer.Frames // every endpoint's Frames
 }
 
 // NewMemNetwork returns an empty in-memory network with DefaultMailboxDepth
@@ -116,9 +119,9 @@ type memEndpoint struct {
 
 func (e *memEndpoint) Addr() Addr { return e.addr }
 
-// RecvExclusive is true: deliver puts the sender's slice in one mailbox and
-// the network keeps nothing.
-func (e *memEndpoint) RecvExclusive() bool { return true }
+// Frames is the network's pool: deliver puts the sender's slice, mark and
+// all, in one mailbox and the network keeps nothing.
+func (e *memEndpoint) Frames() *buffer.Frames { return &e.net.frames }
 
 func (e *memEndpoint) Send(msg Message) error {
 	if e.isClosed() {

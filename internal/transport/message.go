@@ -117,9 +117,9 @@ func (k Kind) String() string {
 }
 
 // Message is the unit of communication. Payload is opaque to the transport;
-// higher layers encode structs into it (encoding/gob for anything that must
-// cross the TCP backend). Senders must not mutate Payload after Send: the
-// in-memory backend passes the slice through without copying.
+// higher layers encode into it (core's control structs with encoding/gob,
+// its data pieces and the collectives' frames in fixed binary layouts). A
+// sender gives Payload up at Send (Endpoint, "Payload ownership").
 type Message struct {
 	Kind     Kind
 	Src, Dst Addr
@@ -138,4 +138,7 @@ type Message struct {
 	// binary frame encoding; nonzero adds one fixed word to a frame and one
 	// uvarint to a batch item. The transport never interprets it.
 	Trace uint64
+	// Pooled marks a Payload drawn from the sending endpoint's Frames pool:
+	// whoever holds it last hands it back. It is never encoded on the wire.
+	Pooled bool
 }

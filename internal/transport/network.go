@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/buffer"
 )
 
 // Common transport errors.
@@ -46,9 +48,9 @@ type Network interface {
 //
 // Payload ownership. A sender gives msg.Payload up at Send and never reads
 // or writes it again. What the receiver may do with a delivered payload is
-// the endpoint's to state (RecvExclusive): on an exclusive endpoint the
-// bytes are referenced by the receiver alone, so it may overwrite them or
-// send them on as its own; on any other it may only read them.
+// the endpoint's to state (Frames): where it has a frame pool the bytes are
+// referenced by the receiver alone, so it may overwrite them, send them on
+// as its own, or hand them back; on any other it may only read them.
 type Endpoint interface {
 	// Addr returns the address this endpoint was registered under.
 	Addr() Addr
@@ -59,18 +61,23 @@ type Endpoint interface {
 	Recv() (Message, error)
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout on expiry.
 	RecvTimeout(d time.Duration) (Message, error)
-	// RecvExclusive reports whether every payload Recv returns is held by
-	// nothing but the returned message: the network keeps no reference to it
-	// (no retransmit buffer, no delayed duplicate), delivers it to no second
-	// endpoint, and it shares its array with no other delivery. The two
-	// backends say yes — MemNetwork passes the sender's slice to exactly one
-	// mailbox, TCP copies each payload out of its read buffer — and every
-	// decorator says no: ReliableNetwork retains sent payloads until acked,
+	// Frames returns the network's frame pool, or nil. Non-nil means every
+	// payload Recv returns is held by nothing but the returned message: the
+	// network keeps no reference to it (no retransmit buffer, no delayed
+	// duplicate), delivers it to no second endpoint, and it shares its array
+	// with no other delivery. The two backends have one pool per network
+	// object — MemNetwork passes the sender's slice to exactly one mailbox,
+	// TCP copies each payload out of its read buffer (into a pooled frame for
+	// KindData, whose receiver hands it back) — and every decorator returns
+	// nil: ReliableNetwork retains sent payloads until acked,
 	// CoalescingNetwork delivers windows of one envelope, and the injectors
-	// (FaultNetwork, the DST networks) promise nothing. A
-	// wrapper that only observes traffic passes its inner endpoint's answer
-	// through. The answer is fixed for the endpoint's lifetime.
-	RecvExclusive() bool
+	// (FaultNetwork, the DST networks) promise nothing. A wrapper that only
+	// observes traffic passes its inner endpoint's answer through. A sender
+	// may draw a payload from the pool and mark it Message.Pooled: TCP puts
+	// it back after its write, MemNetwork hands it to the receiver. Neither
+	// can tell it from a payload a layer above keeps for resend, so the mark
+	// decides, and callers above a decorator, seeing nil, never set it.
+	Frames() *buffer.Frames
 	// Close detaches the endpoint: it accepts no further message, and Send
 	// returns ErrClosed. Messages queued before the close are still handed
 	// out, in order, by Recv and RecvTimeout alike; once the queue is empty

@@ -12,30 +12,33 @@ import (
 	"repro/internal/transport"
 )
 
-// TestRecvExclusiveContract holds every network to what its endpoints say
-// about received payloads (Endpoint.RecvExclusive). Where the answer is yes
-// it is verified: a payload still reads as sent after the next frame has come
-// out of the same connection, and scribbling over it to its full capacity
-// changes neither that next delivery nor a delivery to another endpoint —
-// and a collective group over the network recycles its wire buffers. Where
-// the answer is no, a collective group over the network recycles nothing:
-// after 100 AllReduces its pool has served no send and holds no byte.
-func TestRecvExclusiveContract(t *testing.T) {
+// TestFramesContract holds every network to what its endpoints say about
+// received payloads (Endpoint.Frames). A backend answers with one pool per
+// network object, the same from every endpoint and from a wrapper that only
+// observes; a decorator answers nil. Where the answer is a pool it is
+// verified: a payload still reads as sent after the next frame has come out
+// of the same connection, scribbling over it to its full capacity changes
+// neither that next delivery nor a delivery to another endpoint, and a
+// collective group over the network recycles its wire buffers. Where the
+// answer is nil, a collective group over the network recycles nothing: after
+// 100 AllReduces its pool has served no send and holds no byte.
+func TestFramesContract(t *testing.T) {
 	mem := func() transport.Network { return transport.NewMemNetwork() }
+	tcp := func(t *testing.T) transport.Network {
+		r, err := transport.StartTCPRouter("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { r.Close() })
+		return transport.NewTCPNetwork(r.ListenAddr())
+	}
 	for _, tc := range []struct {
-		name      string
-		net       func(t *testing.T) transport.Network
-		exclusive bool
+		name   string
+		net    func(t *testing.T) transport.Network
+		pooled bool
 	}{
 		{"mem", func(*testing.T) transport.Network { return mem() }, true},
-		{"tcp", func(t *testing.T) transport.Network {
-			r, err := transport.StartTCPRouter("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { r.Close() })
-			return transport.NewTCPNetwork(r.ListenAddr())
-		}, true},
+		{"tcp", tcp, true},
 		{"reliable-over-mem", func(*testing.T) transport.Network {
 			return transport.NewReliableNetwork(mem(), transport.ReliableConfig{ResendInterval: time.Millisecond})
 		}, false},
@@ -51,17 +54,142 @@ func TestRecvExclusiveContract(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.exclusive {
+			verifyShared(t, tc.net(t), tc.net(t), tc.pooled)
+			if tc.pooled {
 				verifyExclusive(t, tc.net(t))
 			}
-			hits, held := allReduces(t, tc.net(t), tc.exclusive)
-			if tc.exclusive && hits == 0 {
-				t.Errorf("exclusive network: the group's pools served no send")
+			hits, held := allReduces(t, tc.net(t), tc.pooled)
+			if tc.pooled && hits == 0 {
+				t.Errorf("network with a pool: the group's pools served no send")
 			}
-			if !tc.exclusive && (hits != 0 || held != 0) {
-				t.Errorf("network that is not exclusive: pools served %d sends and hold %d bytes, want none", hits, held)
+			if !tc.pooled && (hits != 0 || held != 0) {
+				t.Errorf("network without a pool: pools served %d sends and hold %d bytes, want none", hits, held)
 			}
 		})
+	}
+	t.Run("tcp-send-returns-pooled", func(t *testing.T) { verifyTCPReturnsPooled(t, tcp(t)) })
+	t.Run("reliable-over-fault-over-tcp", func(t *testing.T) {
+		net := transport.NewReliableNetwork(
+			transport.NewFaultNetwork(tcp(t), transport.FaultConfig{Seed: 3, ResetEvery: 17, ResetLen: 3}),
+			transport.ReliableConfig{ResendInterval: 2 * time.Millisecond})
+		verifyIntactStream(t, net)
+	})
+}
+
+// verifyShared checks that two endpoints of one network, the second behind
+// an observing wrapper and a dispatcher, answer with the same pool, and an
+// endpoint of a second network of the same kind with another one.
+func verifyShared(t *testing.T, net, other transport.Network, pooled bool) {
+	t.Helper()
+	defer net.Close()
+	defer other.Close()
+	register := func(n transport.Network, rank int) transport.Endpoint {
+		ep, err := n.Register(transport.Proc("S", rank))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ep
+	}
+	a, b, c := register(net, 0), register(poisonNet{net}, 1), register(other, 0)
+	if (a.Frames() != nil) != pooled || a.Frames() != b.Frames() {
+		t.Fatalf("endpoint pools %p and (observed) %p, want one shared pool: %v", a.Frames(), b.Frames(), pooled)
+	}
+	if d := transport.NewDispatcher(b); d.Frames() != a.Frames() {
+		t.Fatalf("dispatcher pool %p, want its endpoint's %p", d.Frames(), a.Frames())
+	}
+	if pooled && c.Frames() == a.Frames() {
+		t.Fatalf("two networks share the pool %p", a.Frames())
+	}
+}
+
+// verifyTCPReturnsPooled: a payload marked Pooled is back in the network's
+// pool once Send returns, an unmarked one is not, and the receiver reads
+// both as sent.
+func verifyTCPReturnsPooled(t *testing.T, net transport.Network) {
+	defer net.Close()
+	a, err := net.Register(transport.Proc("P", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := net.Register(transport.Proc("P", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := a.Frames()
+	for _, pooled := range []bool{true, false} {
+		payload := frames.Get(3000)
+		for i := range payload {
+			payload[i] = byte(i)
+		}
+		before := frames.Stats().Held
+		if err := a.Send(transport.Message{Kind: transport.KindPoint, Dst: b.Addr(), Payload: payload, Pooled: pooled}); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := frames.Stats().Held-before, map[bool]int{true: cap(payload)}[pooled]; got != want {
+			t.Errorf("Pooled=%v: the pool holds %d more bytes after Send, want %d", pooled, got, want)
+		}
+		m, err := b.RecvTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range m.Payload {
+			if v != byte(i) || len(m.Payload) != 3000 {
+				t.Fatalf("Pooled=%v: received %d bytes, byte %d = %d", pooled, len(m.Payload), i, v)
+			}
+		}
+	}
+}
+
+// verifyIntactStream sends 300 KindData payloads from one endpoint of net to
+// another, each drawn from and marked for the sender's pool when it has
+// one and handed back by the receiver to its pool when it has one — core's
+// data plane — and checks that every payload arrives once, in order, as
+// sent. Under the race detector handed-back frames are poisoned, so a layer
+// that put back a payload it still held for resend would deliver garbage.
+func verifyIntactStream(t *testing.T, net transport.Network) {
+	t.Helper()
+	defer net.Close()
+	a, err := net.Register(transport.Proc("R", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := net.Register(transport.Proc("R", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const msgs, size = 300, 4096
+	fill := func(k int, p []byte) {
+		for i := range p {
+			p[i] = byte(k*7 + i)
+		}
+	}
+	errc := make(chan error, 1)
+	go func() {
+		frames := a.Frames()
+		for k := 0; k < msgs; k++ {
+			p := frames.Get(size)
+			fill(k, p)
+			if err := a.Send(transport.Message{Kind: transport.KindData, Dst: b.Addr(), Payload: p, Pooled: frames != nil}); err != nil {
+				errc <- err
+				return
+			}
+		}
+		errc <- nil
+	}()
+	want := make([]byte, size)
+	for k := 0; k < msgs; k++ {
+		m, err := b.RecvTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatalf("message %d: %v", k, err)
+		}
+		fill(k, want)
+		if !bytes.Equal(m.Payload, want) {
+			t.Fatalf("message %d arrived changed", k)
+		}
+		b.Frames().Put(m.Payload)
+	}
+	if err := <-errc; err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -76,8 +204,8 @@ func verifyExclusive(t *testing.T, net transport.Network) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ep.RecvExclusive() {
-			t.Fatalf("endpoint %d is not exclusive", i)
+		if ep.Frames() == nil {
+			t.Fatalf("endpoint %d has no pool", i)
 		}
 		eps[i] = ep
 	}
@@ -114,7 +242,7 @@ func verifyExclusive(t *testing.T, net transport.Network) {
 
 // allReduces runs 100 checked AllReduces on a three-rank group over net and
 // returns how many sends the group's pools served and the bytes they hold.
-func allReduces(t *testing.T, net transport.Network, exclusive bool) (hits uint64, held int64) {
+func allReduces(t *testing.T, net transport.Network, pooled bool) (hits uint64, held int64) {
 	t.Helper()
 	defer net.Close()
 	const ranks = 3
@@ -127,8 +255,8 @@ func allReduces(t *testing.T, net transport.Network, exclusive bool) (hits uint6
 			t.Fatal(err)
 		}
 		d := transport.NewDispatcher(ep)
-		if d.RecvExclusive() != exclusive {
-			t.Fatalf("rank %d: dispatcher says exclusive=%v, want %v", r, d.RecvExclusive(), exclusive)
+		if (d.Frames() != nil) != pooled {
+			t.Fatalf("rank %d: dispatcher has a pool: %v, want %v", r, d.Frames() != nil, pooled)
 		}
 		if comms[r], err = collective.New(d, "G", r, ranks); err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/vclock"
 )
 
@@ -150,9 +151,9 @@ type reliableEndpoint struct {
 
 func (e *reliableEndpoint) Addr() Addr { return e.inner.Addr() }
 
-// RecvExclusive is false: a sent payload stays in the sender's resend buffer
-// until acked, and over MemNetwork that is the array the receiver was given.
-func (e *reliableEndpoint) RecvExclusive() bool { return false }
+// Frames is nil: a sent payload stays in the sender's resend buffer until
+// acked, and over MemNetwork that is the array the receiver was given.
+func (e *reliableEndpoint) Frames() *buffer.Frames { return nil }
 
 // Send stamps the pair sequence number, records the message for
 // retransmission, and attempts immediate delivery. Transient transport

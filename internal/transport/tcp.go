@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/vclock"
 	"repro/internal/wire"
 )
@@ -45,7 +46,8 @@ var errFrameLength = errors.New("transport: frame length exceeds limit")
 // go through one reusable buffer per connection; the router forwards those
 // bytes as-is (they are consumed before the next read), while client
 // endpoints copy only the payload — the single piece of a received message
-// that outlives the read buffer.
+// that outlives the read buffer — into a frame of the network's pool for
+// KindData, a fresh slice otherwise.
 
 // frameWriter owns the write half of one socket. Methods are not
 // concurrency-safe; callers serialize (the emu locks below).
@@ -365,6 +367,8 @@ type TCPNetwork struct {
 	decodeErrors atomic.Uint64
 	reconnects   atomic.Uint64
 
+	frames buffer.Frames // every endpoint's Frames
+
 	mu     sync.Mutex
 	eps    []*tcpEndpoint
 	closed bool
@@ -528,7 +532,9 @@ func (e *tcpEndpoint) readLoop() {
 				// The decoded payload aliases the read buffer; the mailbox
 				// retains the message past the next read, so the payload is
 				// the one thing we copy.
-				if len(m.Payload) > 0 {
+				if m.Kind == KindData {
+					m.Payload = append(e.net.frames.Get(len(m.Payload))[:0], m.Payload...)
+				} else if len(m.Payload) > 0 {
 					m.Payload = append([]byte(nil), m.Payload...)
 				}
 				if e.put(m) {
@@ -621,11 +627,15 @@ func (e *tcpEndpoint) resetConn() {
 
 func (e *tcpEndpoint) Addr() Addr { return e.addr }
 
-// RecvExclusive is true: readLoop copies each payload out of the
+// Frames is the network's pool: readLoop copies each payload out of the
 // connection's read buffer into an array of its own.
-func (e *tcpEndpoint) RecvExclusive() bool { return true }
+func (e *tcpEndpoint) Frames() *buffer.Frames { return &e.net.frames }
 
+// Send writes msg to the router; a Pooled payload then goes back to the pool.
 func (e *tcpEndpoint) Send(msg Message) error {
+	if msg.Pooled {
+		defer e.net.frames.Put(msg.Payload)
+	}
 	if e.isClosed() {
 		return ErrClosed
 	}
