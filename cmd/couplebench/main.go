@@ -3,6 +3,9 @@
 // program F, coupled to importer programs U of 4, 8, 16 and 32 processes
 // (configurations a-d), plus the buddy-help T_ub ablation (Equations (1)-(2))
 // and the optimal-state-onset, tolerance-ratio and network-latency sweeps.
+// It also replays the line-by-line scenario figures (Figure 5: a typical
+// buddy-help run; Figure 7: buddy-help at tolerance 5.0; Figure 8: the same
+// without buddy-help) against the framework's export pipeline.
 // Performance numbers (per-layer costs, allocation, collective latencies) are
 // not its business: `bash bench/run.sh` is the repository's one benchmark.
 //
@@ -10,6 +13,7 @@
 //
 //	couplebench -figure all            # the four Figure 4 configurations
 //	couplebench -figure c -csv c.csv   # one configuration + CSV series
+//	couplebench -figure 5              # the Figure 5 scenario trace
 //	couplebench -tub                   # buddy-help on/off ablation
 //	couplebench -onset 2,4,8,16,32     # optimal-state onset sweep
 //	couplebench coupleflight a.cpfl    # decode flight-recorder dumps
@@ -25,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/obsv/diag"
 	"repro/internal/plot"
@@ -44,7 +47,7 @@ func main() {
 		return
 	}
 	var (
-		figure   = flag.String("figure", "all", "Figure 4 configuration: a, b, c, d or all")
+		figure   = flag.String("figure", "all", "Figure 4 configuration (a, b, c, d or all) or scenario figure (5, 7 or 8)")
 		gridN    = flag.Int("n", 256, "global array is n x n (paper: 1024)")
 		exports  = flag.Int("exports", 1001, "number of exports (paper: 1001)")
 		every    = flag.Int("every", 20, "one request per this many exports (paper: 20)")
@@ -111,6 +114,10 @@ func run(figure string, gridN, exports, every int, tol float64, buddy bool, runs
 	fast, slow, uwork time.Duration, csvPath, svgPath string, tub bool, onset string, syncImp bool, ratio, latsw string,
 	obsvAddr, traceJSON string) error {
 
+	switch figure {
+	case "5", "7", "8":
+		return printScenario(os.Stdout, figure)
+	}
 	var obs *obsv.Observer
 	if obsvAddr != "" || traceJSON != "" {
 		obs = obsv.New(obsv.Config{Tracing: true})
@@ -220,12 +227,12 @@ func run(figure string, gridN, exports, every int, tol float64, buddy bool, runs
 		figures = []string{"a", "b", "c", "d"}
 	} else {
 		if _, ok := figureProcs[figure]; !ok {
-			return fmt.Errorf("unknown figure %q (want a, b, c, d or all)", figure)
+			return fmt.Errorf("unknown figure %q (want a, b, c, d, all, 5, 7 or 8)", figure)
 		}
 		figures = []string{figure}
 	}
 
-	var series []*metrics.Series
+	var results []*harness.Figure4Result
 	for _, f := range figures {
 		cfg := mk(figureProcs[f])
 		cfg.Name = fmt.Sprintf("fig4%s-U%d", f, cfg.ImporterProcs)
@@ -235,7 +242,7 @@ func run(figure string, gridN, exports, every int, tol float64, buddy bool, runs
 			return fmt.Errorf("figure 4(%s): %w", f, err)
 		}
 		printFigure(f, res, time.Since(start))
-		series = append(series, res.ExportTimes)
+		results = append(results, res)
 	}
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
@@ -243,7 +250,7 @@ func run(figure string, gridN, exports, every int, tol float64, buddy bool, runs
 			return err
 		}
 		defer f.Close()
-		if err := metrics.WriteCSVMulti(f, series...); err != nil {
+		if err := writeCSV(f, results); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote %s\n", csvPath)
@@ -254,11 +261,11 @@ func run(figure string, gridN, exports, every int, tol float64, buddy bool, runs
 			XLabel: "iteration",
 			YLabel: "export time (ms)",
 		}
-		for _, s := range series {
-			ps := plot.Series{Name: s.Name}
-			for i := 0; i < s.Len(); i++ {
+		for _, res := range results {
+			ps := plot.Series{Name: res.Cfg.Name}
+			for i, d := range res.ExportTimes {
 				ps.X = append(ps.X, float64(i))
-				ps.Y = append(ps.Y, float64(s.At(i).Microseconds())/1000)
+				ps.Y = append(ps.Y, float64(d.Microseconds())/1000)
 			}
 			chart.Series = append(chart.Series, ps)
 		}
@@ -289,23 +296,85 @@ func run(figure string, gridN, exports, every int, tol float64, buddy bool, runs
 }
 
 func printFigure(f string, res *harness.Figure4Result, elapsed time.Duration) {
-	s := res.ExportTimes
+	s, every := res.ExportTimes, res.Cfg.MatchEvery
 	st := res.SlowStats
 	fmt.Printf("\nFigure 4(%s): importer U with %d processes (%s wall)\n", f, res.Cfg.ImporterProcs, elapsed.Round(time.Millisecond))
-	fmt.Printf("  export time of p_s per iteration: %s\n", s.Sparkline(72))
+	fmt.Printf("  export time of p_s per iteration: %s\n", sparkline(s, 72))
 	fmt.Printf("  head(0..%d) %v   tail %v   settle @ iteration %d\n",
-		res.Cfg.MatchEvery, s.Window(0, res.Cfg.MatchEvery),
-		s.Window(s.Len()-res.Cfg.MatchEvery, s.Len()), res.Settle)
+		every, harness.Window(s, 0, every), harness.Window(s, len(s)-every, len(s)), res.Settle)
 	fmt.Printf("  p_s buffer: %d exports, %d memcpys, %d skips, %d sends, %d unnecessary copies (T_ub %v)\n",
 		st.Exports, st.Copies, st.Skips, st.Sends, st.UnnecessaryCopies, st.UnnecessaryTime.Round(time.Microsecond))
-	pl := res.SlowPipeline
-	fmt.Printf("  p_s data plane: %d jobs, %d data sends, %d flushes, export stall %v, peak queue depth %d\n",
-		pl.Jobs, pl.DataSends, pl.Flushes, time.Duration(pl.ExportStallNanos).Round(time.Microsecond), pl.PeakQueueDepth)
-	fmt.Printf("  matched %d of %d requests\n", res.Matched, res.Cfg.Exports/res.Cfg.MatchEvery)
-	ep, ip := res.ExporterProto, res.ImporterProto
-	fmt.Printf("  control plane: F forwarded %d, responses %d, answers %d, buddy %d, data msgs %d; U calls %d\n",
-		ep.RequestsForwarded, ep.Responses, ep.AnswersSent, ep.BuddyMessages, ep.DataMessages, ip.ImportCalls)
+	count := func(name string, labels ...obsv.Label) float64 { return obsv.Sum(res.Counters, name, labels...) }
+	pf, pu := obsv.L("program", "F"), obsv.L("program", "U")
+	ps := []obsv.Label{pf, obsv.L("rank", strconv.Itoa(res.Cfg.ExporterProcs-1))}
+	fmt.Printf("  p_s data plane: %.0f jobs, %.0f data sends, %.0f flushes, export stall %v, peak queue depth %.0f\n",
+		count("core.pipeline.jobs", ps...), count("core.data.sends", ps...), count("core.pipeline.flushes", ps...),
+		time.Duration(count("core.export.stall.ns", ps...)).Round(time.Microsecond), count("core.pipeline.peak.depth", ps...))
+	fmt.Printf("  matched %d of %d requests\n", res.Matched, res.Cfg.Exports/every)
+	fmt.Printf("  control plane: F forwarded %.0f, responses %.0f, answers %.0f, buddy %.0f, data msgs %.0f; U calls %.0f\n",
+		count("core.requests.forwarded", pf), count("core.responses", pf), count("core.answers.sent", pf),
+		count("core.buddy.messages", pf), count("core.data.sends", pf), count("core.import.calls", pu))
 	fmt.Printf("  peak framework buffer on p_s: %.1f MiB\n", float64(res.PeakBufferedBytes)/(1<<20))
+}
+
+// sparkline renders s as a compact unicode plot of width buckets (bucket
+// means), for eyeballing the Figure-4 shape in a terminal.
+func sparkline(s []time.Duration, width int) string {
+	width = min(width, len(s))
+	if width <= 0 {
+		return ""
+	}
+	ramp := []rune("▁▂▃▄▅▆▇█")
+	buckets := make([]float64, width)
+	top := 0.0
+	for b := range buckets {
+		buckets[b] = float64(harness.Window(s, b*len(s)/width, (b+1)*len(s)/width))
+		top = max(top, buckets[b])
+	}
+	out := make([]rune, width)
+	for i, v := range buckets {
+		out[i] = ramp[0]
+		if top > 0 {
+			out[i] = ramp[int(v/top*float64(len(ramp)-1))]
+		}
+	}
+	return string(out)
+}
+
+// writeCSV emits one "<name>_ns" column of export times per result after
+// an "iteration" column, truncated to the shortest series.
+func writeCSV(w io.Writer, results []*harness.Figure4Result) error {
+	var b strings.Builder
+	b.WriteString("iteration")
+	n := -1
+	for _, res := range results {
+		fmt.Fprintf(&b, ",%s_ns", res.Cfg.Name)
+		if n < 0 || len(res.ExportTimes) < n {
+			n = len(res.ExportTimes)
+		}
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "\n%d", i)
+		for _, res := range results {
+			fmt.Fprintf(&b, ",%d", res.ExportTimes[i].Nanoseconds())
+		}
+	}
+	_, err := io.WriteString(w, b.String()+"\n")
+	return err
+}
+
+// printScenario replays one of the paper's line-by-line scenario figures
+// and prints the lines its export pipeline recorded.
+func printScenario(w io.Writer, figure string) error {
+	sc, err := harness.RunScenario(figure)
+	if err != nil {
+		return err
+	}
+	st := sc.Stats
+	fmt.Fprintf(w, "=== Figure %s ===\n%s\n", sc.Figure, strings.Join(sc.Lines(), "\n"))
+	fmt.Fprintf(w, "--- %d exports: %d memcpys, %d skips, %d sends, %d unnecessary copies (T_ub %v)\n\n",
+		st.Exports, st.Copies, st.Skips, st.Sends, st.UnnecessaryCopies, st.UnnecessaryTime.Round(time.Nanosecond))
+	return nil
 }
 
 func printTub(res *harness.TubResult) {
@@ -315,7 +384,7 @@ func printTub(res *harness.TubResult) {
 		st := r.SlowStats
 		fmt.Printf("  %-10s memcpys %-6d skips %-6d unnecessary %-6d T_ub %-12v mean export %v\n",
 			name, st.Copies, st.Skips, st.UnnecessaryCopies,
-			st.UnnecessaryTime.Round(time.Microsecond), r.ExportTimes.Mean())
+			st.UnnecessaryTime.Round(time.Microsecond), harness.Window(r.ExportTimes, 0, len(r.ExportTimes)))
 	}
 	row("buddy on", res.With)
 	row("buddy off", res.Without)

@@ -2,12 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/obsv/diag"
 	"repro/internal/testutil"
 	"repro/internal/vclock"
@@ -63,6 +65,74 @@ func TestRunObservability(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Error("trace artifact has no events")
+	}
+}
+
+// TestRunScenarioFigures: -figure 5, 7 and 8 print the paper's
+// line-by-line scenario traces, numbered, with their buffer statistics.
+func TestRunScenarioFigures(t *testing.T) {
+	for fig, want := range map[string]string{
+		"5": "18  receive buddy-help {D@20, MATCH, D@19.6}.\n",
+		"7": "8   export D@4.6, skip memcpy.\n",
+		"8": "10  remove D@5.6.\n",
+	} {
+		var out strings.Builder
+		if err := printScenario(&out, fig); err != nil {
+			t.Fatalf("figure %s: %v", fig, err)
+		}
+		text := out.String()
+		if !strings.HasPrefix(text, "=== Figure "+fig+" ===\n1   export D@1.6, call memcpy.\n") ||
+			!strings.Contains(text, want) || !strings.Contains(text, " memcpys, ") {
+			t.Errorf("figure %s output lacks %q:\n%s", fig, want, text)
+		}
+		if err := run(fig, 0, 0, 0, 0, false, 0, 0, 0, 0, "", "", false, "", false, "", "", "", ""); err != nil {
+			t.Errorf("run -figure %s: %v", fig, err)
+		}
+	}
+	if err := printScenario(io.Discard, "6"); err == nil {
+		t.Error("unknown scenario figure accepted")
+	}
+}
+
+func TestSparkline(t *testing.T) {
+	s := []time.Duration{1, 1, 1, 1, 100, 100, 100, 100}
+	sp := []rune(sparkline(s, 4))
+	if len(sp) != 4 || sp[0] >= sp[3] {
+		t.Errorf("sparkline %q: want 4 increasing runes", string(sp))
+	}
+	if sparkline(nil, 10) != "" || len([]rune(sparkline(s, 100))) != len(s) {
+		t.Error("sparkline width not clamped to the series")
+	}
+}
+
+// csvResult is a Figure4Result carrying only what writeCSV reads.
+func csvResult(name string, ns ...time.Duration) *harness.Figure4Result {
+	return &harness.Figure4Result{Cfg: harness.Figure4Config{Name: name}, ExportTimes: ns}
+}
+
+// TestWriteCSV pins the multi-series CSV: one column per configuration.
+func TestWriteCSV(t *testing.T) {
+	var sb strings.Builder
+	if err := writeCSV(&sb, []*harness.Figure4Result{csvResult("a", 1, 2), csvResult("b", 3, 4, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "iteration,a_ns,b_ns\n0,1,3\n1,2,4\n"; sb.String() != want {
+		t.Errorf("csv %q, want %q", sb.String(), want)
+	}
+	if err := writeCSV(&sb, nil); err != nil {
+		t.Errorf("no-series csv: %v", err)
+	}
+}
+
+// TestWriteCSVShortenedRuns pins the truncation contract: rows stop at the
+// shortest series, never indexing past a short one.
+func TestWriteCSVShortenedRuns(t *testing.T) {
+	var sb strings.Builder
+	if err := writeCSV(&sb, []*harness.Figure4Result{csvResult("a", 1, 2, 3, 4), csvResult("b", 9)}); err != nil {
+		t.Fatal(err)
+	}
+	if want := "iteration,a_ns,b_ns\n0,1,9\n"; sb.String() != want {
+		t.Errorf("csv %q, want header plus one row truncated to the shortest series", sb.String())
 	}
 }
 

@@ -39,6 +39,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"sync"
 	"syscall"
 	"time"
@@ -321,10 +322,13 @@ func run(cfgPath, program, router string, gridN, steps, every int, buddy, verbos
 		time.Sleep(2 * time.Second)
 	}
 
-	// Summaries.
+	// Summaries: buffer statistics of the last exporter rank, and the
+	// instruments read by name from the registry.
+	snap := fw.Obsv().Registry.Snapshot()
 	for _, name := range names {
 		r := roles[name]
 		prog := fw.MustProgram(name)
+		last := strconv.Itoa(prog.Procs() - 1)
 		for _, reg := range r.exports {
 			stats, err := prog.Process(prog.Procs() - 1).ExportStats(reg)
 			if err != nil {
@@ -337,24 +341,25 @@ func run(cfgPath, program, router string, gridN, steps, every int, buddy, verbos
 			sort.Strings(imps)
 			for _, imp := range imps {
 				st := stats[imp]
+				stall := obsv.Sum(snap, "core.export.stall.ns", obsv.L("program", name), obsv.L("rank", last),
+					obsv.L("conn", name+"."+reg+">"+imp))
 				fmt.Printf("%s.%s -> %s: %d exports, %d memcpys, %d skips, %d transfers, T_ub %v, pipeline stall %v (last rank)\n",
 					name, reg, imp, st.Exports, st.Copies, st.Skips, st.Sends,
-					st.UnnecessaryTime.Round(time.Microsecond),
-					time.Duration(st.Pipeline.ExportStallNanos).Round(time.Microsecond))
+					st.UnnecessaryTime.Round(time.Microsecond), time.Duration(stall).Round(time.Microsecond))
 			}
 		}
-		ps := prog.ProtocolStats()
-		line := fmt.Sprintf("%s: %d data messages", name, ps.DataMessages)
-		if ps.DataDropped > 0 {
-			line += fmt.Sprintf(", %d dropped", ps.DataDropped)
+		count := func(instrument string) int { return int(obsv.Sum(snap, instrument, obsv.L("program", name))) }
+		line := fmt.Sprintf("%s: %d data messages", name, count("core.data.sends"))
+		if n := count("core.data.dropped"); n > 0 {
+			line += fmt.Sprintf(", %d dropped", n)
 		}
-		if ev := prog.Evictions(); ev > 0 {
-			line += fmt.Sprintf(", %d versions evicted for dead peers", ev)
+		if n := count("core.peer.evictions"); n > 0 {
+			line += fmt.Sprintf(", %d versions evicted for dead peers", n)
 		}
-		fc := prog.Process(0).Comm().Instruments().FailureCounts()
-		if fc["agreed"] > 0 || fc["revokes"] > 0 || fc["shrinks"] > 0 {
-			line += fmt.Sprintf(", rank failures: %d agreed / %d revokes / %d shrinks",
-				fc["agreed"], fc["revokes"], fc["shrinks"])
+		agreed, revokes, shrinks := count("collective.failures.agreed"), count("collective.failures.revokes"),
+			count("collective.failures.shrinks")
+		if agreed > 0 || revokes > 0 || shrinks > 0 {
+			line += fmt.Sprintf(", rank failures: %d agreed / %d revokes / %d shrinks", agreed, revokes, shrinks)
 		}
 		fmt.Println(line)
 	}

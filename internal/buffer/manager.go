@@ -33,7 +33,7 @@ import (
 	"time"
 
 	"repro/internal/match"
-	"repro/internal/trace"
+	"repro/internal/obsv"
 	"repro/internal/vclock"
 )
 
@@ -87,8 +87,9 @@ type Config struct {
 	// Policy and Tol define the connection's acceptable regions.
 	Policy match.Policy
 	Tol    float64
-	// Log, when non-nil, receives paper-style trace events.
-	Log *trace.Log
+	// Ring, when non-nil, receives the paper-figure events as "fig.*"
+	// instant spans (see FigureLines).
+	Ring *obsv.Ring
 	// MaxBytes bounds the buffer size (0 = unbounded). This implements the
 	// paper's future-work item on finite buffer space: Offer fails with
 	// ErrBufferFull when live objects exceed the bound.
@@ -330,7 +331,7 @@ func (m *Manager) Finish() ([]Resolution, []SendItem, error) {
 		}
 		d := m.closedDecision(r)
 		resolutions = append(resolutions, Resolution{ReqIndex: r.index, ReqTS: r.x, Decision: d})
-		m.cfg.Log.Add(replyEvent(r.x, d))
+		m.fig(replyEvent(r.x, d))
 		sends = append(sends, m.decide(r, d.Result, d.MatchTS, false)...)
 	}
 	m.sweep()
@@ -404,7 +405,7 @@ func (m *Manager) OnRequest(x float64) (RequestResult, error) {
 	m.requests = append(m.requests, r)
 	m.newestLo, m.newestHi, m.newestX = r.region.Lo, r.region.Hi, x
 
-	m.cfg.Log.Add(trace.Event{Op: trace.OpRequest, Req: x})
+	m.fig(figEvent{name: figRequest, req: x})
 
 	d := m.matcher.Evaluate(x)
 	if d.Result == match.Pending && m.finished {
@@ -412,7 +413,7 @@ func (m *Manager) OnRequest(x float64) (RequestResult, error) {
 		d = m.closedDecision(r)
 	}
 	res := RequestResult{ReqIndex: r.index, Decision: d}
-	m.cfg.Log.Add(replyEvent(x, d))
+	m.fig(replyEvent(x, d))
 
 	var sends []SendItem
 	switch d.Result {
@@ -448,7 +449,7 @@ func (m *Manager) OnFinal(reqIndex int, result match.Result, matchTS float64) ([
 		}
 		return nil, nil
 	}
-	m.cfg.Log.Add(trace.Event{Op: trace.OpBuddyHelp, Req: r.x, Result: result.String(), TS: matchTS})
+	m.fig(figEvent{name: figBuddy, req: r.x, result: result, ts: matchTS})
 	sends := m.decide(r, result, matchTS, true)
 	m.sweep()
 	return sends, nil
@@ -482,7 +483,7 @@ func (m *Manager) Offer(ts float64, data []float64) (OfferResult, error) {
 			continue
 		}
 		out.Resolutions = append(out.Resolutions, Resolution{ReqIndex: r.index, ReqTS: r.x, Decision: d})
-		m.cfg.Log.Add(replyEvent(r.x, d))
+		m.fig(replyEvent(r.x, d))
 		out.Sends = append(out.Sends, m.decide(r, d.Result, d.MatchTS, false)...)
 	}
 	// Verify earlier buddy-delivered decisions once our own exports suffice
@@ -499,7 +500,7 @@ func (m *Manager) Offer(ts float64, data []float64) (OfferResult, error) {
 		}
 		out.Buffered = true
 		out.CopyTime = e.CopyTime
-		m.cfg.Log.Add(trace.Event{Op: trace.OpExportCopy, TS: ts})
+		m.fig(figEvent{name: figCopy, ts: ts})
 		// If this export is the known match of a decided request, it is
 		// ready to send right now (Figure 5 lines 14-16).
 		for _, r := range m.requests {
@@ -509,7 +510,7 @@ func (m *Manager) Offer(ts float64, data []float64) (OfferResult, error) {
 		}
 	} else {
 		m.stats.Skips++
-		m.cfg.Log.Add(trace.Event{Op: trace.OpExportSkip, TS: ts})
+		m.fig(figEvent{name: figSkip, ts: ts})
 	}
 
 	m.sweep()
@@ -540,7 +541,7 @@ func (m *Manager) markSend(r *request, e *Entry) SendItem {
 	e.Sent = true
 	e.pendingTransfers++
 	m.stats.Sends++
-	m.cfg.Log.Add(trace.Event{Op: trace.OpSend, TS: e.TS})
+	m.fig(figEvent{name: figSend, ts: e.TS})
 	return SendItem{ReqIndex: r.index, ReqTS: r.x, MatchTS: e.TS, Data: e.Data, CopyTime: e.CopyTime}
 }
 
@@ -708,7 +709,7 @@ func (m *Manager) retain(e *Entry) bool {
 }
 
 // sweep frees every no-longer-retained entry, coalescing the removals into
-// one paper-style trace line.
+// one figure line.
 func (m *Manager) sweep() {
 	removed := m.sweepScratch[:0]
 	for ts, e := range m.entries {
@@ -723,7 +724,7 @@ func (m *Manager) sweep() {
 		return
 	}
 	sort.Float64s(removed)
-	m.cfg.Log.Add(trace.Event{Op: trace.OpRemove, TS: removed[0], TS2: removed[len(removed)-1]})
+	m.fig(figEvent{name: figRemove, ts: removed[0], ts2: removed[len(removed)-1]})
 }
 
 // free releases one entry and accounts unnecessary buffering time.
@@ -816,12 +817,4 @@ func (m *Manager) newEntry() *Entry {
 		return e
 	}
 	return &Entry{}
-}
-
-func replyEvent(x float64, d match.Decision) trace.Event {
-	ev := trace.Event{Op: trace.OpReply, Req: x, Result: d.Result.String(), Latest: d.Latest}
-	if d.Result == match.Match {
-		ev.TS = d.MatchTS
-	}
-	return ev
 }

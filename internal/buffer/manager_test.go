@@ -5,16 +5,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/match"
-	"repro/internal/trace"
+	"repro/internal/obsv"
 )
 
-func newManager(t *testing.T, p match.Policy, tol float64, log *trace.Log) *Manager {
+func newManager(t *testing.T, p match.Policy, tol float64, ring *obsv.Ring) *Manager {
 	t.Helper()
-	m, err := NewManager(Config{Policy: p, Tol: tol, Log: log})
+	m, err := NewManager(Config{Policy: p, Tol: tol, Ring: ring})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,8 +121,8 @@ func TestImporterSlower(t *testing.T) {
 // process exports past 4.6, so every non-match export up to the region is
 // skipped.
 func TestScenarioFigure7(t *testing.T) {
-	log := trace.NewLog()
-	m := newManager(t, match.REGL, 5, log)
+	ring := newFigureRing()
+	m := newManager(t, match.REGL, 5, ring)
 
 	offer(t, m, 1.6) // call memcpy
 	offer(t, m, 2.6) // call memcpy
@@ -161,8 +160,7 @@ func TestScenarioFigure7(t *testing.T) {
 		t.Error("export 10.6 not buffered")
 	}
 
-	got := log.Format()
-	wantLines := []string{
+	wantFigureLines(t, ring,
 		"export D@1.6, call memcpy.",
 		"export D@2.6, call memcpy.",
 		"export D@3.6, call memcpy.",
@@ -178,13 +176,7 @@ func TestScenarioFigure7(t *testing.T) {
 		"export D@9.6, call memcpy.",
 		"send D@9.6 out.",
 		"export D@10.6, call memcpy.",
-	}
-	for i, w := range wantLines {
-		lines := log.Lines()
-		if i >= len(lines) || !strings.Contains(lines[i], w) {
-			t.Fatalf("trace line %d: want %q\nfull trace:\n%s", i+1, w, got)
-		}
-	}
+	)
 	// The only memcpys in the region's span are 1.6-3.6 (pre-request) and
 	// the match; unnecessary copies = the three pre-request ones.
 	st := m.Stats()
@@ -201,8 +193,8 @@ func TestScenarioFigure7(t *testing.T) {
 // candidate and is buffered; the previous candidate is freed; the match is
 // only decided when an export passes the region.
 func TestScenarioFigure8(t *testing.T) {
-	log := trace.NewLog()
-	m := newManager(t, match.REGL, 5, log)
+	ring := newFigureRing()
+	m := newManager(t, match.REGL, 5, ring)
 
 	offer(t, m, 1.6)
 	offer(t, m, 2.6)
@@ -242,6 +234,27 @@ func TestScenarioFigure8(t *testing.T) {
 	if len(r.Sends) != 1 || r.Sends[0].MatchTS != 9.6 {
 		t.Fatalf("sends %v", r.Sends)
 	}
+	wantFigureLines(t, ring,
+		"export D@1.6, call memcpy.",
+		"export D@2.6, call memcpy.",
+		"export D@3.6, call memcpy.",
+		"receive request for D@10.",
+		"reply {D@10, PENDING, D@3.6}.",
+		"remove D@1.6, ..., D@3.6.",
+		"export D@4.6, skip memcpy.",
+		"export D@5.6, call memcpy.",
+		"export D@6.6, call memcpy.",
+		"remove D@5.6.",
+		"export D@7.6, call memcpy.",
+		"remove D@6.6.",
+		"export D@8.6, call memcpy.",
+		"remove D@7.6.",
+		"export D@9.6, call memcpy.",
+		"remove D@8.6.",
+		"reply {D@10, MATCH, D@9.6}.",
+		"send D@9.6 out.",
+		"export D@10.6, call memcpy.",
+	)
 	st := m.Stats()
 	// memcpys: 1.6,2.6,3.6 + 5.6..9.6 + 10.6 = 9; skips: 4.6 only.
 	if st.Copies != 9 || st.Skips != 1 {
@@ -260,8 +273,8 @@ func TestScenarioFigure8(t *testing.T) {
 // TestScenarioFigure5 replays the typical buddy-help scenario of Figure 5
 // (REGL, tolerance 2.5, requests at 20 and 40).
 func TestScenarioFigure5(t *testing.T) {
-	log := trace.NewLog()
-	m := newManager(t, match.REGL, 2.5, log)
+	ring := newFigureRing()
+	m := newManager(t, match.REGL, 2.5, ring)
 
 	// Lines 1-4: exports 1.6 .. 14.6, all buffered (no request yet).
 	for ts := 1.6; ts < 14.7; ts++ {

@@ -96,19 +96,6 @@ func (ins *Instruments) FailureCount(ctr int) uint64 {
 	return ins.failures[ctr].Load()
 }
 
-// FailureCounts returns the fault-tolerance counters by name (the
-// "collective.failures.<name>" suffixes) for exit summaries and reports.
-func (ins *Instruments) FailureCounts() map[string]uint64 {
-	m := make(map[string]uint64, numFailureCtrs)
-	if ins == nil {
-		return m
-	}
-	for i, name := range failureCtrNames {
-		m[name] = ins.failures[i].Load()
-	}
-	return m
-}
-
 // NewInstruments registers (or looks up) the collective instrument catalog
 // for one program in reg. A nil registry yields inert instruments.
 func NewInstruments(reg *obsv.Registry, program string) *Instruments {

@@ -60,8 +60,6 @@ type Options struct {
 	// BuddyHelp enables the paper's optimization: representatives send the
 	// final match answer to processes whose response was PENDING.
 	BuddyHelp bool
-	// Trace enables per-process paper-style event logs.
-	Trace bool
 	// BufferMaxBytes bounds each per-connection export buffer (0 = unbounded).
 	BufferMaxBytes int64
 	// Timeout bounds blocking waits; 0 means DefaultTimeout.
@@ -70,8 +68,9 @@ type Options struct {
 	// tracer, /statusz sections). nil means a private registry-only observer:
 	// the instruments are always the single counting path, tracing is off,
 	// and nothing is served. Pass an observer with a Tracer (obsv.Config
-	// {Tracing: true}) to record protocol spans and piggyback trace IDs on
-	// the wire; pass the same observer to obsv.Serve to introspect the run.
+	// {Tracing: true}) to record protocol spans — the paper-figure events
+	// among them ("fig.*", see buffer.FigureLines) — and piggyback trace IDs
+	// on the wire; pass the same observer to obsv.Serve to introspect the run.
 	Obsv *obsv.Observer
 	// Heartbeat enables peer-failure detection between representatives: reps
 	// beacon every Heartbeat/2 and declare a previously-seen peer dead after
@@ -256,11 +255,10 @@ func (f *Framework) writeStatus(w io.Writer) {
 			sort.Strings(regions)
 			for _, region := range regions {
 				for _, ec := range proc.exps[region].conns {
-					ps := ec.pipelineStats()
 					fmt.Fprintf(w, "  %s %s depth=%d peak=%d jobs=%d sends=%d flushes=%d stall=%v\n",
-						proc.addr(), ec.key, ps.QueueDepth, ps.PeakQueueDepth,
-						ps.Jobs, ps.DataSends, ps.Flushes,
-						time.Duration(ps.ExportStallNanos).Round(time.Microsecond))
+						proc.addr(), ec.key, len(ec.jobs), ec.peakDepth.Load(),
+						ec.queued.Load(), ec.dataSends.Load(), ec.flushes.Load(),
+						time.Duration(ec.stall.Load()).Round(time.Microsecond))
 				}
 			}
 		}

@@ -8,10 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/collective"
 	"repro/internal/config"
 	"repro/internal/decomp"
-	tracepkg "repro/internal/trace"
+	"repro/internal/obsv"
 	"repro/internal/transport"
 )
 
@@ -496,10 +497,14 @@ E.d B.d REGL 0.25
 	}
 }
 
-// TestTraceCapturesBuddyHelp: with tracing on and a slow exporter rank, the
-// slow process's log shows buddy-help messages and skipped memcpys.
-func TestTraceCapturesBuddyHelp(t *testing.T) {
-	f := buildCoupling(t, Options{BuddyHelp: true, Trace: true}, 2, 1, 4, "REGL 2.5")
+// runBuddyHelpCoupling runs a 2 -> 1 coupling with buddy-help and a tracing
+// observer in which exporter rank 1 is slow: it stalls at its fourth export
+// until its own figure events show the buddy-help message the fast rank's
+// answer produced for it. It returns the exporter program and the observer.
+func runBuddyHelpCoupling(t *testing.T) (*Program, *obsv.Observer) {
+	t.Helper()
+	obs := obsv.New(obsv.Config{Tracing: true})
+	f := buildCoupling(t, Options{BuddyHelp: true, Obsv: obs}, 2, 1, 4, "REGL 2.5")
 	exp, imp := f.MustProgram("E"), f.MustProgram("I")
 
 	var wg sync.WaitGroup
@@ -508,12 +513,11 @@ func TestTraceCapturesBuddyHelp(t *testing.T) {
 		defer wg.Done()
 		runProcs(t, exp, func(p *Process) error {
 			block, _ := p.Block("d")
+			ring := obs.Tracer.Ring("E", p.Rank())
 			for k := 1; k <= 12; k++ {
 				if p.Rank() == 1 && k == 4 {
-					// Rank 1 is the slow process: it stalls until the fast
-					// rank's answer produced a buddy-help message for it.
 					deadline := testutil.Now().Add(10 * time.Second)
-					for p.Trace().Count(tracepkg.OpBuddyHelp) == 0 {
+					for countSpans(ring, "fig.buddy") == 0 {
 						if testutil.Now().After(deadline) {
 							return fmt.Errorf("no buddy-help within deadline")
 						}
@@ -543,16 +547,57 @@ func TestTraceCapturesBuddyHelp(t *testing.T) {
 	if err := f.Err(); err != nil {
 		t.Fatal(err)
 	}
-	log := exp.Process(1).Trace()
-	if log == nil {
-		t.Fatal("tracing enabled but no log")
+	return exp, obs
+}
+
+// countSpans counts the spans called name on a process's lane.
+func countSpans(ring *obsv.Ring, name string) int {
+	n := 0
+	for _, sp := range ring.Spans() {
+		if sp.Name == name {
+			n++
+		}
 	}
-	text := log.Format()
-	if !strings.Contains(text, "buddy-help") {
+	return n
+}
+
+// TestTraceCapturesBuddyHelp: with a tracing observer and a slow exporter
+// rank, the slow process's lane carries the paper-figure lines of a
+// buddy-help message and skipped memcpys.
+func TestTraceCapturesBuddyHelp(t *testing.T) {
+	_, obs := runBuddyHelpCoupling(t)
+	text := strings.Join(buffer.FigureLines(obs.Tracer.Ring("E", 1)), "\n")
+	if !strings.Contains(text, "receive buddy-help {D@10, MATCH, D@10}.") {
 		t.Errorf("slow process trace lacks buddy-help:\n%s", text)
 	}
 	if !strings.Contains(text, "skip memcpy") {
 		t.Errorf("slow process trace lacks skipped memcpys:\n%s", text)
+	}
+}
+
+// TestFigureSpansMatchStats: the figure events a tracing run records and the
+// buffer statistics count the same decisions — on every exporter process,
+// one fig.copy span per copy, one fig.skip per skip, one fig.send per send.
+func TestFigureSpansMatchStats(t *testing.T) {
+	exp, obs := runBuddyHelpCoupling(t)
+	for r := 0; r < exp.Procs(); r++ {
+		stats, err := exp.Process(r).ExportStats("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := stats["I.d"]
+		ring := obs.Tracer.Ring("E", r)
+		for _, c := range []struct {
+			span string
+			want int
+		}{{"fig.copy", st.Copies}, {"fig.skip", st.Skips}, {"fig.send", st.Sends}} {
+			if got := countSpans(ring, c.span); got != c.want {
+				t.Errorf("rank %d: %d %s spans, stats count %d", r, got, c.span, c.want)
+			}
+		}
+		if st.Copies+st.Skips != 12 {
+			t.Errorf("rank %d: %d copies + %d skips, want 12 exports", r, st.Copies, st.Skips)
+		}
 	}
 }
 
@@ -725,10 +770,11 @@ func TestExportTotals(t *testing.T) {
 	}
 }
 
-// TestProtocolStats verifies the control-plane message accounting, including
-// that buddy-help messages appear only when the optimization is on.
-func TestProtocolStats(t *testing.T) {
-	run := func(buddy bool) (exp, imp ProtocolStats) {
+// TestProtocolCounters verifies the control-plane message accounting, read
+// by name from the registry, including that buddy-help messages appear only
+// when the optimization is on.
+func TestProtocolCounters(t *testing.T) {
+	run := func(buddy bool) map[string]float64 {
 		f := buildCoupling(t, Options{BuddyHelp: buddy}, 2, 2, 8, "REGL 2.5")
 		e, i := f.MustProgram("E"), f.MustProgram("I")
 		var wg sync.WaitGroup
@@ -762,36 +808,37 @@ func TestProtocolStats(t *testing.T) {
 		if err := f.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return e.ProtocolStats(), i.ProtocolStats()
+		return f.Obsv().Registry.Snapshot()
 	}
-
-	expOn, impOn := run(true)
-	expOff, _ := run(false)
+	on, off := run(true), run(false)
+	count := func(snap map[string]float64, name, program string) float64 {
+		return obsv.Sum(snap, name, obsv.L("program", program))
+	}
 
 	// 2 requests, 2 exporter procs: 4 forwards, >= 4 responses, 2 answers.
-	if expOn.RequestsForwarded != 4 {
-		t.Errorf("forwards %d, want 4", expOn.RequestsForwarded)
+	if n := count(on, "core.requests.forwarded", "E"); n != 4 {
+		t.Errorf("forwards %v, want 4", n)
 	}
-	if expOn.Responses < 4 {
-		t.Errorf("responses %d, want >= 4", expOn.Responses)
+	if n := count(on, "core.responses", "E"); n < 4 {
+		t.Errorf("responses %v, want >= 4", n)
 	}
-	if expOn.AnswersSent != 2 {
-		t.Errorf("answers sent %d, want 2", expOn.AnswersSent)
+	if n := count(on, "core.answers.sent", "E"); n != 2 {
+		t.Errorf("answers sent %v, want 2", n)
 	}
 	// Importer: 2 procs x 2 calls; answers fanned to both procs.
-	if impOn.ImportCalls != 4 {
-		t.Errorf("import calls %d, want 4", impOn.ImportCalls)
+	if n := count(on, "core.import.calls", "I"); n != 4 {
+		t.Errorf("import calls %v, want 4", n)
 	}
-	if impOn.AnswersDelivered != 4 {
-		t.Errorf("answers delivered %d, want 4", impOn.AnswersDelivered)
+	if n := count(on, "core.answers.delivered", "I"); n != 4 {
+		t.Errorf("answers delivered %v, want 4", n)
 	}
 	// Data: each exporter proc sends one piece per matched request per
 	// intersecting importer proc.
-	if expOn.DataMessages == 0 {
+	if count(on, "core.data.sends", "E") == 0 {
 		t.Error("no data messages counted")
 	}
-	if expOff.BuddyMessages != 0 {
-		t.Errorf("buddy messages %d with optimization off", expOff.BuddyMessages)
+	if n := count(off, "core.buddy.messages", "E"); n != 0 {
+		t.Errorf("buddy messages %v with optimization off", n)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/obsv"
 	"repro/internal/obsv/diag"
-	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -38,11 +37,11 @@ type Process struct {
 	// calls themselves stay single-goroutine on the owning process.
 	commMu sync.Mutex
 	comm   *collective.Comm
-	log    *trace.Log
 
 	// tracer/ring are the span-recording hooks (nil unless the framework's
 	// observer traces); every record site nil-checks ring, so the disabled
-	// path costs one branch.
+	// path costs one branch. The export managers record the paper-figure
+	// events on the same ring.
 	tracer *obsv.Tracer
 	ring   *obsv.Ring
 
@@ -189,36 +188,12 @@ type respData struct {
 	flow    uint64 // wire trace ID of the request (0 when tracing is off)
 }
 
-// PipelineStats counts one export connection's data-plane activity.
-type PipelineStats struct {
-	// Jobs counts resolution/send batches enqueued to the sender; DataSends
-	// counts KindData messages sent; Flushes counts drain barriers.
-	Jobs, DataSends, Flushes uint64
-	// ExportStallNanos is the total time producers (Export, forwarded
-	// requests, buddy-help) spent blocked on a full pipeline queue — the
-	// time backpressure stole back from the overlap.
-	ExportStallNanos int64
-	// QueueDepth is the queue depth at snapshot time; PeakQueueDepth its
-	// high-water mark.
-	QueueDepth, PeakQueueDepth int
-}
-
-// ConnStats bundles one export connection's buffer statistics with its
-// data-plane pipeline counters.
+// ConnStats is one export connection's buffer statistics. The connection's
+// data-plane counters are registry instruments (core.pipeline.jobs,
+// core.data.sends, core.pipeline.flushes, core.export.stall.ns,
+// core.pipeline.peak.depth; labels program, rank, conn).
 type ConnStats struct {
 	buffer.Stats
-	Pipeline PipelineStats
-}
-
-func (ec *exportConn) pipelineStats() PipelineStats {
-	return PipelineStats{
-		Jobs:             ec.queued.Load(),
-		DataSends:        ec.dataSends.Load(),
-		Flushes:          ec.flushes.Load(),
-		ExportStallNanos: int64(ec.stall.Load()),
-		QueueDepth:       len(ec.jobs),
-		PeakQueueDepth:   int(ec.peakDepth.Load()),
-	}
 }
 
 // importState is one imported region's receive machinery on this process.
@@ -309,9 +284,6 @@ func newProcess(p *Program, rank int, d *transport.Dispatcher) (*Process, error)
 		ready:        make(chan struct{}),
 		abort:        make(chan struct{}),
 	}
-	if p.fw.opts.Trace {
-		proc.log = trace.NewLog()
-	}
 	proc.tracer = p.fw.tracer
 	proc.ring = proc.tracer.Ring(p.name, rank)
 	comm.SetInstruments(collective.NewInstruments(p.fw.obs.Registry, p.name))
@@ -340,9 +312,6 @@ func (p *Process) Comm() *collective.Comm {
 	return p.comm
 }
 
-// Trace returns the process's event log (nil unless Options.Trace).
-func (p *Process) Trace() *trace.Log { return p.log }
-
 // Block returns this process's global sub-rectangle of a defined region.
 func (p *Process) Block(region string) (decomp.Rect, error) {
 	def, ok := p.prog.regions[region]
@@ -352,7 +321,7 @@ func (p *Process) Block(region string) (decomp.Rect, error) {
 	return def.layout.Block(p.rank), nil
 }
 
-// ExportStats returns the buffer and pipeline statistics per connection
+// ExportStats returns the buffer statistics per connection
 // (keyed by the import endpoint, e.g. "U.f") for an exported region.
 func (p *Process) ExportStats(region string) (map[string]ConnStats, error) {
 	st, ok := p.exps[region]
@@ -364,7 +333,7 @@ func (p *Process) ExportStats(region string) (map[string]ConnStats, error) {
 		c.mu.Lock()
 		s := c.mgr.Stats()
 		c.mu.Unlock()
-		out[c.cc.Import.String()] = ConnStats{Stats: s, Pipeline: c.pipelineStats()}
+		out[c.cc.Import.String()] = ConnStats{Stats: s}
 	}
 	return out, nil
 }
@@ -424,7 +393,7 @@ func (p *Process) start() {
 			mcfg := buffer.Config{
 				Policy:   conn.Policy,
 				Tol:      conn.Tolerance,
-				Log:      p.log,
+				Ring:     p.ring,
 				MaxBytes: fw.opts.BufferMaxBytes,
 				Pool:     p.pool,
 				Now:      fw.opts.Clock.Now,
@@ -857,7 +826,7 @@ func (p *Process) attachFlows(ec *exportConn, j *exportJob) {
 // handleData files one piece of a matched distributed object. A frame for a
 // connection this process does not import — a straggler that outlived its
 // peer's teardown, or one duplicated by a faulty transport — is dropped and
-// counted (ProtocolStats.DataDropped) rather than failing the program.
+// counted (core.data.dropped) rather than failing the program.
 func (p *Process) handleData(m transport.Message) {
 	st, ok := p.impByKey[m.Tag]
 	if !ok {
@@ -1064,7 +1033,7 @@ func (p *Process) sendResponse(ec *exportConn, r respData) {
 // triggers are queued to the connection's sender goroutine, so Export
 // returns to the application's compute phase immediately — unless the
 // bounded queue is full, in which case Export blocks (backpressure) and the
-// stall is accounted in PipelineStats.ExportStallNanos.
+// stall is accounted in core.export.stall.ns.
 func (p *Process) Export(region string, ts float64, data []float64) error {
 	if err := p.checkAbort(); err != nil {
 		return err

@@ -7,6 +7,7 @@ import (
 	"repro/internal/buffer"
 	"repro/internal/config"
 	"repro/internal/decomp"
+	"repro/internal/obsv"
 	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 )
@@ -77,6 +78,32 @@ func newProgram(f *Framework, pc config.Program) (*Program, error) {
 		p.procs = append(p.procs, proc)
 	}
 	return p, nil
+}
+
+// protoCounters holds the program's protocol instruments, preallocated from
+// the registry at program construction so the hot paths never perform a
+// registry lookup. Data-plane sends are counted per connection pipeline
+// (exportConn.dataSends, core.data.sends); reports read every instrument by
+// name from the registry (obsv.Sum).
+type protoCounters struct {
+	importCalls, requestsForwarded, responses *obsv.Counter
+	answersSent, answersDelivered, buddy      *obsv.Counter
+	dataDropped, peerDown, evictions          *obsv.Counter
+}
+
+func newProtoCounters(reg *obsv.Registry, program string) protoCounters {
+	l := obsv.L("program", program)
+	return protoCounters{
+		importCalls:       reg.Counter("core.import.calls", l),
+		requestsForwarded: reg.Counter("core.requests.forwarded", l),
+		responses:         reg.Counter("core.responses", l),
+		answersSent:       reg.Counter("core.answers.sent", l),
+		answersDelivered:  reg.Counter("core.answers.delivered", l),
+		buddy:             reg.Counter("core.buddy.messages", l),
+		dataDropped:       reg.Counter("core.data.dropped", l),
+		peerDown:          reg.Counter("core.peer.down", l),
+		evictions:         reg.Counter("core.peer.evictions", l),
+	}
 }
 
 // Name returns the program name.

@@ -10,13 +10,14 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/decomp"
+	"repro/internal/obsv"
 	"repro/internal/transport"
 )
 
 // TestStrayDataFrameDropped: a KindData frame for a connection key the
 // receiver does not import — a straggler delayed past its peer's teardown,
 // or a duplicate from a flaky transport — must be dropped and counted
-// (ProtocolStats.DataDropped), not fail the program. Regression: handleData
+// (core.data.dropped), not fail the program. Regression: handleData
 // used to call prog.fail on the unknown key, so one late frame tore down
 // the whole coupled run. The run rides a FaultNetwork with delivery delays,
 // the condition that produces such stragglers in the wild.
@@ -87,10 +88,11 @@ func TestStrayDataFrameDropped(t *testing.T) {
 	}
 
 	// The strays are delayed by the fault layer; poll for the counter.
+	dropped := f.Obsv().Registry.Counter("core.data.dropped", obsv.L("program", "I"))
 	deadline := testutil.Now().Add(5 * time.Second)
-	for f.MustProgram("I").ProtocolStats().DataDropped < strays {
+	for dropped.Load() < strays {
 		if testutil.Now().After(deadline) {
-			t.Fatalf("DataDropped = %d, want %d", f.MustProgram("I").ProtocolStats().DataDropped, strays)
+			t.Fatalf("core.data.dropped = %d, want %d", dropped.Load(), strays)
 		}
 		testutil.Sleep(time.Millisecond)
 	}

@@ -70,8 +70,8 @@ func RunOptimalStateOnset(base Figure4Config, procs []int) ([]OnsetPoint, error)
 		out = append(out, OnsetPoint{
 			ImporterProcs: n,
 			Settle:        res.Settle,
-			MeanExport:    s.Mean(),
-			TailExport:    s.Window(s.Len()-cfg.MatchEvery, s.Len()),
+			MeanExport:    Window(s, 0, len(s)),
+			TailExport:    Window(s, len(s)-cfg.MatchEvery, len(s)),
 		})
 	}
 	return out, nil

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/match"
-	"repro/internal/metrics"
 	"repro/internal/obsv"
 	"repro/internal/transport"
 )
@@ -59,7 +58,6 @@ type Figure4Config struct {
 	// transport frames (transport.CoalescingNetwork over the run's network).
 	Coalesce bool
 	Runs     int
-	Trace    bool
 	// Obsv, when non-nil, is the observability layer the run's framework
 	// publishes into: metrics, /statusz sections and — when the observer
 	// has a Tracer — protocol spans. Pass the same observer to obsv.Serve
@@ -102,20 +100,18 @@ type Figure4Result struct {
 	Cfg Figure4Config
 	// ExportTimes is the per-iteration duration of p_s's Export call,
 	// averaged over Runs (the quantity Figure 4 plots).
-	ExportTimes *metrics.Series
-	// SlowStats are p_s's buffer statistics from the last run;
-	// SlowPipeline its export-connection data-plane counters (queue depth,
-	// stall time) from the same run.
-	SlowStats    buffer.Stats
-	SlowPipeline core.PipelineStats
+	ExportTimes []time.Duration
+	// SlowStats are p_s's buffer statistics from the last run.
+	SlowStats buffer.Stats
 	// Settle estimates the iteration at which the export-time series reaches
 	// its final level (the paper's "iterations to reach the optimal state").
 	Settle int
 	// Matched counts requests answered MATCH (should be Exports/MatchEvery).
 	Matched int
-	// ExporterProto/ImporterProto are the programs' control-plane message
-	// counts from the last run (the rep-overhead quantification).
-	ExporterProto, ImporterProto core.ProtocolStats
+	// Counters is the framework's registry at the end of the last run
+	// (obsv.Registry.Snapshot): the control-plane message counts and p_s's
+	// data-plane pipeline counters, read by name with obsv.Sum.
+	Counters map[string]float64
 	// PeakBufferedBytes is the largest framework buffer p_s held at any
 	// export (last run) — the quantity behind the paper's future-work
 	// concern about finite buffer space.
@@ -203,50 +199,28 @@ func RunFigure4(cfg Figure4Config) (*Figure4Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	runs := make([]*metrics.Series, 0, cfg.Runs)
-	var last *runOutcome
+	runs := make([][]time.Duration, 0, cfg.Runs)
+	var last *Figure4Result
 	for r := 0; r < cfg.Runs; r++ {
-		out, err := runFigure4Once(cfg)
+		res, err := runFigure4Once(cfg)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, out.exportTimes)
-		last = out
+		runs = append(runs, res.ExportTimes)
+		last = res
 	}
-	mean := metrics.MeanOf(cfg.Name, runs...)
-	return &Figure4Result{
-		Cfg:               cfg,
-		ExportTimes:       mean,
-		SlowStats:         last.slowStats,
-		SlowPipeline:      last.slowPipeline,
-		Settle:            mean.SettleIteration(cfg.MatchEvery, 1.5),
-		Matched:           last.matched,
-		ExporterProto:     last.expProto,
-		ImporterProto:     last.impProto,
-		PeakBufferedBytes: last.peakBuffered,
-		Frames:            last.frames,
-		ImportChecksum:    last.importChecksum,
-	}, nil
+	last.ExportTimes = meanSeries(runs)
+	last.Settle = settleIteration(last.ExportTimes, cfg.MatchEvery, 1.5)
+	return last, nil
 }
 
 // figure4TestNetwork, when non-nil, overrides the transport of
 // runFigure4Once — a hook for tests that instrument the traffic.
 var figure4TestNetwork transport.Network
 
-type runOutcome struct {
-	exportTimes    *metrics.Series
-	slowStats      buffer.Stats
-	slowPipeline   core.PipelineStats
-	matched        int
-	expProto       core.ProtocolStats
-	impProto       core.ProtocolStats
-	peakBuffered   int64
-	frames         transport.FrameStats
-	importChecksum float64
-}
-
-// runFigure4Once builds the F/U coupling and runs the workload.
-func runFigure4Once(cfg Figure4Config) (*runOutcome, error) {
+// runFigure4Once builds the F/U coupling and runs the workload, returning
+// the run's own export-time series.
+func runFigure4Once(cfg Figure4Config) (*Figure4Result, error) {
 	coupling := &config.Config{
 		Programs: []config.Program{
 			{Name: "F", Cluster: "local", Binary: "builtin", Procs: cfg.ExporterProcs},
@@ -261,7 +235,6 @@ func runFigure4Once(cfg Figure4Config) (*runOutcome, error) {
 	}
 	opts := core.Options{
 		BuddyHelp: cfg.BuddyHelp,
-		Trace:     cfg.Trace,
 		Timeout:   5 * time.Minute,
 		Obsv:      cfg.Obsv,
 	}
@@ -306,7 +279,7 @@ func runFigure4Once(cfg Figure4Config) (*runOutcome, error) {
 	}
 
 	slow := cfg.slowRank()
-	series := metrics.NewSeries(cfg.Name)
+	series := make([]time.Duration, 0, cfg.Exports)
 	var peakBuffered int64
 	requests := cfg.Exports / cfg.MatchEvery
 	matched := make([]int, cfg.ImporterProcs)
@@ -345,7 +318,7 @@ func runFigure4Once(cfg Figure4Config) (*runOutcome, error) {
 					return
 				}
 				if r == slow {
-					series.Append(time.Since(start))
+					series = append(series, time.Since(start))
 					if held, err := p.BufferedBytes("f"); err == nil && held > peakBuffered {
 						peakBuffered = held
 					}
@@ -418,20 +391,71 @@ func runFigure4Once(cfg Figure4Config) (*runOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &runOutcome{
-		exportTimes:  series,
-		slowStats:    stats["U.f"].Stats,
-		slowPipeline: stats["U.f"].Pipeline,
-		matched:      matched[0],
-		expProto:     progF.ProtocolStats(),
-		impProto:     progU.ProtocolStats(),
-		peakBuffered: peakBuffered,
+	out := &Figure4Result{
+		Cfg:               cfg,
+		ExportTimes:       series,
+		SlowStats:         stats["U.f"].Stats,
+		Matched:           matched[0],
+		Counters:          fw.Obsv().Registry.Snapshot(),
+		PeakBufferedBytes: peakBuffered,
 	}
 	for _, s := range sums {
-		out.importChecksum += s
+		out.ImportChecksum += s
 	}
 	if coalescing != nil {
-		out.frames = coalescing.Stats()
+		out.Frames = coalescing.Stats()
 	}
 	return out, nil
+}
+
+// meanSeries averages the runs pointwise (the paper reports the mean of six
+// runs per configuration), truncated to the shortest run; no runs, no mean.
+func meanSeries(runs [][]time.Duration) []time.Duration {
+	if len(runs) == 0 {
+		return nil
+	}
+	n := len(runs[0])
+	for _, r := range runs[1:] {
+		n = min(n, len(r))
+	}
+	out := make([]time.Duration, n)
+	for i := range out {
+		for _, r := range runs {
+			out[i] += r[i]
+		}
+		out[i] /= time.Duration(len(runs))
+	}
+	return out
+}
+
+// Window returns the mean of s over iterations [lo, hi), clamped to the
+// series (0 when that is empty); Window(s, 0, len(s)) is the run mean.
+func Window(s []time.Duration, lo, hi int) time.Duration {
+	lo, hi = max(lo, 0), min(hi, len(s))
+	if lo >= hi {
+		return 0
+	}
+	var t time.Duration
+	for _, d := range s[lo:hi] {
+		t += d
+	}
+	return t / time.Duration(hi-lo)
+}
+
+// settleIteration estimates when s reaches its settled (final) level: the
+// first iteration from which every later window-wide mean stays within
+// factor of the final window's mean — the paper's "iterations needed to
+// reach the optimal state" (~400 for the 16-process importer, ~25 for 32).
+// It returns len(s) when s never settles.
+func settleIteration(s []time.Duration, window int, factor float64) int {
+	n := len(s)
+	if n == 0 || window <= 0 || window > n {
+		return n
+	}
+	final := max(float64(Window(s, n-window, n)), 1)
+	settle := n
+	for i := n - window; i >= 0 && float64(Window(s, i, i+window)) <= final*factor; i-- {
+		settle = i
+	}
+	return settle
 }

@@ -58,9 +58,8 @@ func TestFigure4FastImporter(t *testing.T) {
 	if res.Matched != res.Cfg.Exports/res.Cfg.MatchEvery {
 		t.Errorf("matched %d of %d requests", res.Matched, res.Cfg.Exports/res.Cfg.MatchEvery)
 	}
-	s := res.ExportTimes
-	if s.Len() != res.Cfg.Exports {
-		t.Fatalf("series length %d, want %d", s.Len(), res.Cfg.Exports)
+	if n := len(res.ExportTimes); n != res.Cfg.Exports {
+		t.Fatalf("series length %d, want %d", n, res.Cfg.Exports)
 	}
 	// The deterministic signal of the optimal state: after the startup
 	// transient only matched objects are copied, so memcpys stay far below
@@ -168,7 +167,7 @@ func TestScenarioFigure5Harness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := sc.Log.Format()
+	text := strings.Join(sc.Lines(), "\n")
 	for _, want := range []string{
 		"export D@14.6, call memcpy.",
 		"receive request for D@20.",
@@ -221,10 +220,10 @@ func TestScenarioFigure7vs8(t *testing.T) {
 	if with.Stats.Sends != 1 || without.Stats.Sends != 1 {
 		t.Errorf("sends %d/%d", with.Stats.Sends, without.Stats.Sends)
 	}
-	if !strings.Contains(with.Log.Format(), "export D@5.6, skip memcpy.") {
+	if !strings.Contains(strings.Join(with.Lines(), "\n"), "export D@5.6, skip memcpy.") {
 		t.Error("figure 7 lacks the buddy-enabled skip")
 	}
-	if !strings.Contains(without.Log.Format(), "export D@5.6, call memcpy.") {
+	if !strings.Contains(strings.Join(without.Lines(), "\n"), "export D@5.6, call memcpy.") {
 		t.Error("figure 8 lacks the candidate memcpy")
 	}
 }
@@ -235,7 +234,7 @@ func TestRunScenarioDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("figure %s: %v", fig, err)
 		}
-		if sc.Figure != fig || sc.Log.Len() == 0 {
+		if sc.Figure != fig || len(sc.Lines()) == 0 {
 			t.Errorf("figure %s scenario empty", fig)
 		}
 	}
@@ -251,4 +250,106 @@ func TestWork(t *testing.T) {
 		t.Error("work returned early")
 	}
 	work(0) // must not hang
+}
+
+// series builds a duration series from nanosecond values.
+func series(ns ...int) []time.Duration {
+	out := make([]time.Duration, len(ns))
+	for i, v := range ns {
+		out[i] = time.Duration(v)
+	}
+	return out
+}
+
+func TestWindow(t *testing.T) {
+	s := series(10, 20, 30, 40)
+	if got := Window(s, 1, 3); got != 25 {
+		t.Errorf("window = %v", got)
+	}
+	if got := Window(s, -5, 100); got != 25 {
+		t.Errorf("clamped window = %v", got)
+	}
+	if got := Window(s, 3, 3); got != 0 {
+		t.Errorf("empty window = %v", got)
+	}
+}
+
+// TestRunMean: the whole-run mean is the window over every iteration, and
+// the averaged series is a fresh slice, not an alias of any run.
+func TestRunMean(t *testing.T) {
+	s := series(10, 20, 30)
+	if got := Window(s, 0, len(s)); got != 20 {
+		t.Errorf("run mean = %v, want 20", got)
+	}
+	m := meanSeries([][]time.Duration{s})
+	m[0] = 999
+	if s[0] != 10 {
+		t.Error("averaged series aliases its run")
+	}
+}
+
+func TestEmptySeries(t *testing.T) {
+	if got := Window(nil, 0, 0); got != 0 {
+		t.Errorf("empty series mean = %v", got)
+	}
+	if got := meanSeries([][]time.Duration{nil}); len(got) != 0 {
+		t.Errorf("mean of one empty run = %v, want empty", got)
+	}
+	if got := settleIteration(nil, 2, 1.5); got != 0 {
+		t.Errorf("empty series settles at %d, want 0", got)
+	}
+}
+
+// TestMeanSeries pins the pointwise averaging of repeated runs.
+func TestMeanSeries(t *testing.T) {
+	m := meanSeries([][]time.Duration{series(10, 20, 30), series(30, 40, 50, 60)})
+	if len(m) != 3 || m[0] != 20 || m[2] != 40 {
+		t.Errorf("mean %v, want [20 30 40]", m)
+	}
+	if got := meanSeries(nil); len(got) != 0 {
+		t.Errorf("mean of no runs = %v, want empty", got)
+	}
+}
+
+// TestMeanSeriesShortenedRuns pins the unequal-length contract: an
+// error-shortened run truncates the mean to the shortest run, whichever
+// position it arrives in, and an empty run empties it rather than panicking.
+func TestMeanSeriesShortenedRuns(t *testing.T) {
+	long, short := series(10, 20, 30, 40, 50), series(100, 200)
+	for _, runs := range [][][]time.Duration{{long, short}, {short, long}, {long, short, series(1, 2, 3)}} {
+		if n := len(meanSeries(runs)); n != len(short) {
+			t.Fatalf("mean truncates to %d, want shortest run %d", n, len(short))
+		}
+	}
+	if n := len(meanSeries([][]time.Duration{long, nil})); n != 0 {
+		t.Fatalf("mean over an empty run has %d points, want 0", n)
+	}
+	if got := meanSeries([][]time.Duration{long}); len(got) != 5 || got[4] != 50 {
+		t.Fatalf("single-run mean altered the data: %v", got)
+	}
+}
+
+func TestSettleIteration(t *testing.T) {
+	// A staircase that settles at iteration 60.
+	var s []time.Duration
+	for i := 0; i < 100; i++ {
+		v := 100
+		switch {
+		case i >= 60:
+			v = 10
+		case i >= 30:
+			v = 50
+		}
+		s = append(s, time.Duration(v))
+	}
+	if got := settleIteration(s, 10, 1.5); got < 55 || got > 65 {
+		t.Errorf("settle at %d, want ~60", got)
+	}
+	// A flat series settles immediately.
+	if got := settleIteration(series(5, 5, 5, 5, 5, 5), 2, 1.5); got != 0 {
+		t.Errorf("flat settles at %d, want 0", got)
+	}
+	if got := settleIteration(nil, 2, 1.5); got != 0 {
+		t.Errorf("empty series settles at %d, want 0", got)
+	}
 }

@@ -15,7 +15,6 @@ import (
 	"repro/internal/match"
 	"repro/internal/obsv"
 	"repro/internal/testutil"
-	"repro/internal/trace"
 )
 
 // chromeDump decodes a WriteChromeTrace output into its event list.
@@ -34,47 +33,32 @@ func chromeDump(t *testing.T, tr *obsv.Tracer) []map[string]any {
 	return doc.TraceEvents
 }
 
-// TestScenarioSpanRoundTrip replays every paper scenario, bridges its event
-// log to obsv spans and checks the Chrome trace round trip: every log line
-// becomes a well-formed X event, and each request cycle's flow crosses from
-// the importer lane to the exporter lane.
+// TestScenarioSpanRoundTrip replays every paper scenario and checks the
+// Chrome trace round trip of its ring: every figure line becomes one
+// well-formed X event on the exporter lane, carrying the line as its detail.
 func TestScenarioSpanRoundTrip(t *testing.T) {
 	for _, fig := range []string{"5", "7", "8"} {
 		sc, err := RunScenario(fig)
 		if err != nil {
 			t.Fatalf("figure %s: %v", fig, err)
 		}
-		events := chromeDump(t, sc.SpanTracer())
-		var slices, flowPhases int
-		pids := make(map[float64]bool)
-		names := make(map[string]bool)
-		for _, ev := range events {
-			switch ev["ph"] {
-			case "X":
-				slices++
-				names[ev["name"].(string)] = true
-				pids[ev["pid"].(float64)] = true
-			case "s", "t", "f":
-				flowPhases++
-				pids[ev["pid"].(float64)] = true
+		lines := sc.Lines()
+		var details []string
+		for _, ev := range chromeDump(t, sc.Tracer) {
+			if ev["ph"] != "X" {
+				continue
 			}
+			if ev["pid"] != float64(1) || ev["tid"] != float64(2) || !strings.HasPrefix(ev["name"].(string), "fig.") {
+				t.Errorf("figure %s: X event %v is not a figure line on the exporter lane", fig, ev)
+			}
+			details = append(details, ev["args"].(map[string]any)["detail"].(string))
 		}
-		// Every log line plus one importer-side request span per request.
-		requests := sc.Log.Count(trace.OpRequest)
-		want := sc.Log.Len() + requests
-		if slices != want {
-			t.Errorf("figure %s: %d X events for %d log lines + %d requests",
-				fig, slices, sc.Log.Len(), requests)
+		if len(details) != len(lines) {
+			t.Fatalf("figure %s: %d X events for %d figure lines", fig, len(details), len(lines))
 		}
-		if len(pids) != 2 {
-			t.Errorf("figure %s: spans on %d pids, want exporter + importer", fig, len(pids))
-		}
-		if flowPhases < 2*requests {
-			t.Errorf("figure %s: %d flow phases for %d requests", fig, flowPhases, requests)
-		}
-		for _, n := range []string{"request", "request.recv", "reply"} {
-			if !names[n] {
-				t.Errorf("figure %s: no %q span", fig, n)
+		for i, d := range details {
+			if !strings.HasSuffix(lines[i], " "+d) {
+				t.Errorf("figure %s: X event %d carries %q, line is %q", fig, i, d, lines[i])
 			}
 		}
 	}
@@ -103,8 +87,9 @@ func TestFigure4Observability(t *testing.T) {
 		t.Errorf("matched %d of %d requests", res.Matched, cfg.Exports/cfg.MatchEvery)
 	}
 	// Every matched version went through the sender goroutine's queue.
-	if pl := res.SlowPipeline; pl.Jobs == 0 || pl.DataSends == 0 {
-		t.Errorf("data-plane pipeline counters empty: %+v", pl)
+	ps := []obsv.Label{obsv.L("program", "F"), obsv.L("rank", "3")}
+	if obsv.Sum(res.Counters, "core.pipeline.jobs", ps...) == 0 || obsv.Sum(res.Counters, "core.data.sends", ps...) == 0 {
+		t.Errorf("p_s data-plane pipeline counters empty")
 	}
 
 	get := func(path string) string {

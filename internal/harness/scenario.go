@@ -2,44 +2,57 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/match"
 	"repro/internal/obsv"
-	"repro/internal/trace"
 )
 
 // Scenario replays one of the paper's line-by-line figures against the same
 // per-process export pipeline (buffer.Manager) the framework runs in
-// production, returning the resulting trace and buffer statistics.
+// production. The manager records the figure's events on Ring, the one lane
+// of Tracer (so the replay exports as a Chrome trace like a live run), and
+// Stats holds its buffer statistics.
 type Scenario struct {
 	Figure string
-	Log    *trace.Log
+	Tracer *obsv.Tracer
+	Ring   *obsv.Ring
 	Stats  buffer.Stats
 }
 
-// scenarioPayload is the stand-in data object for scenario traces.
-func scenarioPayload(ts float64) []float64 { return []float64{ts, ts, ts, ts} }
+// Lines renders the recorded figure events as numbered paper-style lines.
+func (s *Scenario) Lines() []string { return buffer.FigureLines(s.Ring) }
+
+// newScenario returns a figure's scenario and the REGL manager recording
+// onto its ring.
+func newScenario(figure string, tol float64) (*Scenario, *buffer.Manager, error) {
+	t := obsv.NewTracer(1 << 10)
+	sc := &Scenario{Figure: figure, Tracer: t, Ring: t.Ring("F", 0)}
+	m, err := buffer.NewManager(buffer.Config{Policy: match.REGL, Tol: tol, Ring: sc.Ring})
+	return sc, m, err
+}
+
+// exportRange offers the exports lo, lo+1, ... up to hi.
+func exportRange(m *buffer.Manager, lo, hi float64) error {
+	for ts := lo; ts < hi+0.1; ts++ {
+		if _, err := m.Offer(ts, []float64{ts, ts, ts, ts}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // ScenarioFigure5 reproduces Figure 5: REGL, tolerance 2.5, exports at
 // k+0.6, requests at 20 and 40, buddy-help messages carrying the fastest
 // process's answers (MATCH D@19.6, MATCH D@39.6).
 func ScenarioFigure5() (*Scenario, error) {
-	log := trace.NewLog()
-	m, err := buffer.NewManager(buffer.Config{Policy: match.REGL, Tol: 2.5, Log: log})
+	sc, m, err := newScenario("5", 2.5)
 	if err != nil {
 		return nil, err
 	}
-	export := func(ts float64) error {
-		_, err := m.Offer(ts, scenarioPayload(ts))
-		return err
-	}
 	// Lines 1-4: exports 1.6 .. 14.6.
-	for ts := 1.6; ts < 14.7; ts++ {
-		if err := export(ts); err != nil {
-			return nil, err
-		}
+	if err := exportRange(m, 1.6, 14.6); err != nil {
+		return nil, err
 	}
 	// Lines 5-7: request D@20 (PENDING, remove everything below 17.5).
 	r1, err := m.OnRequest(20)
@@ -55,10 +68,8 @@ func ScenarioFigure5() (*Scenario, error) {
 	}
 	// Lines 10-20: exports 15.6 .. 31.6 (skips through 18.6, memcpy+send at
 	// 19.6, memcpys beyond the region).
-	for ts := 15.6; ts < 31.7; ts++ {
-		if err := export(ts); err != nil {
-			return nil, err
-		}
+	if err := exportRange(m, 15.6, 31.6); err != nil {
+		return nil, err
 	}
 	// Lines 21-23: request D@40.
 	r2, err := m.OnRequest(40)
@@ -70,26 +81,22 @@ func ScenarioFigure5() (*Scenario, error) {
 		return nil, err
 	}
 	// Lines 26-33: exports 32.6 .. 40.6.
-	for ts := 32.6; ts < 40.7; ts++ {
-		if err := export(ts); err != nil {
-			return nil, err
-		}
+	if err := exportRange(m, 32.6, 40.6); err != nil {
+		return nil, err
 	}
-	return &Scenario{Figure: "5", Log: log, Stats: m.Stats()}, nil
+	sc.Stats = m.Stats()
+	return sc, nil
 }
 
 // ScenarioFigure7 reproduces Figure 7: REGL, tolerance 5.0, request at 10.0,
 // with buddy-help.
 func ScenarioFigure7() (*Scenario, error) {
-	log := trace.NewLog()
-	m, err := buffer.NewManager(buffer.Config{Policy: match.REGL, Tol: 5, Log: log})
+	sc, m, err := newScenario("7", 5)
 	if err != nil {
 		return nil, err
 	}
-	for ts := 1.6; ts < 3.7; ts++ {
-		if _, err := m.Offer(ts, scenarioPayload(ts)); err != nil {
-			return nil, err
-		}
+	if err := exportRange(m, 1.6, 3.6); err != nil {
+		return nil, err
 	}
 	r, err := m.OnRequest(10)
 	if err != nil {
@@ -98,88 +105,32 @@ func ScenarioFigure7() (*Scenario, error) {
 	if _, err := m.OnFinal(r.ReqIndex, match.Match, 9.6); err != nil {
 		return nil, err
 	}
-	for ts := 4.6; ts < 10.7; ts++ {
-		if _, err := m.Offer(ts, scenarioPayload(ts)); err != nil {
-			return nil, err
-		}
+	if err := exportRange(m, 4.6, 10.6); err != nil {
+		return nil, err
 	}
-	return &Scenario{Figure: "7", Log: log, Stats: m.Stats()}, nil
+	sc.Stats = m.Stats()
+	return sc, nil
 }
 
 // ScenarioFigure8 reproduces Figure 8: the same configuration as Figure 7
 // but WITHOUT buddy-help — the process must keep buffering each new best
 // candidate until its own exports pass the acceptable region.
 func ScenarioFigure8() (*Scenario, error) {
-	log := trace.NewLog()
-	m, err := buffer.NewManager(buffer.Config{Policy: match.REGL, Tol: 5, Log: log})
+	sc, m, err := newScenario("8", 5)
 	if err != nil {
 		return nil, err
 	}
-	for ts := 1.6; ts < 3.7; ts++ {
-		if _, err := m.Offer(ts, scenarioPayload(ts)); err != nil {
-			return nil, err
-		}
+	if err := exportRange(m, 1.6, 3.6); err != nil {
+		return nil, err
 	}
 	if _, err := m.OnRequest(10); err != nil {
 		return nil, err
 	}
-	for ts := 4.6; ts < 11.7; ts++ {
-		if _, err := m.Offer(ts, scenarioPayload(ts)); err != nil {
-			return nil, err
-		}
+	if err := exportRange(m, 4.6, 11.6); err != nil {
+		return nil, err
 	}
-	return &Scenario{Figure: "8", Log: log, Stats: m.Stats()}, nil
-}
-
-// SpanTracer re-renders the scenario's paper-style event log as obsv
-// protocol spans: the exporting process's events on one lane, the importer's
-// requests on a second synthetic lane, with every event of one request cycle
-// sharing a flow ID. The result loads in Perfetto exactly like a live run's
-// /trace dump, so the line-by-line figures can be inspected next to real
-// traces. Events are spaced one microsecond apart in log order (the log
-// carries data timestamps, not wall times).
-func (s *Scenario) SpanTracer() *obsv.Tracer {
-	t := obsv.NewTracer(1 << 12)
-	exp := t.Ring("F", 0)
-	imp := t.Ring("U", -1)
-	flows := make(map[float64]uint64)
-	flowOf := func(req float64) uint64 {
-		id, ok := flows[req]
-		if !ok {
-			id = t.NewSpanID()
-			flows[req] = id
-		}
-		return id
-	}
-	step := int64(time.Microsecond)
-	for i, e := range s.Log.Events() {
-		ts := int64(i+1) * 2 * step
-		sp := obsv.Span{TS: ts, Dur: step, Detail: e.String()}
-		switch e.Op {
-		case trace.OpExportCopy:
-			sp.Name = "export.copy"
-		case trace.OpExportSkip:
-			sp.Name = "export.skip"
-		case trace.OpRemove:
-			sp.Name = "remove"
-		case trace.OpRequest:
-			sp.Name, sp.Flow = "request.recv", flowOf(e.Req)
-			// The request originates at the importer: a matching span one
-			// step earlier on the U lane gives the flow its cross-process
-			// starting point.
-			imp.Record(obsv.Span{Name: "request", TS: ts - step, Dur: step, Flow: sp.Flow})
-		case trace.OpReply:
-			sp.Name, sp.Flow = "reply", flowOf(e.Req)
-		case trace.OpBuddyHelp:
-			sp.Name, sp.Flow = "buddy", flowOf(e.Req)
-		case trace.OpSend:
-			sp.Name = "send"
-		default:
-			sp.Name = "event"
-		}
-		exp.Record(sp)
-	}
-	return t
+	sc.Stats = m.Stats()
+	return sc, nil
 }
 
 // RunScenario dispatches by figure number ("5", "7", "8").

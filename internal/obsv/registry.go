@@ -353,6 +353,27 @@ func (r *Registry) Snapshot() map[string]float64 {
 	return out
 }
 
+// Sum totals the Snapshot entries of the instrument called name whose label
+// sets include every label of match: the by-name read that reports, exit
+// summaries and tests use in place of hand-copied stat structs.
+func Sum(snap map[string]float64, name string, match ...Label) float64 {
+	total := 0.0
+	for k, v := range snap {
+		n, labels, _ := strings.Cut(k, "{")
+		if n != name {
+			continue
+		}
+		ok := true
+		for _, l := range match {
+			ok = ok && strings.Contains("{"+labels, key("", []Label{l}))
+		}
+		if ok {
+			total += v
+		}
+	}
+	return total
+}
+
 // promName maps a dotted instrument name to Prometheus form.
 func promName(name string) string {
 	return strings.NewReplacer(".", "_", "-", "_").Replace(name)

@@ -36,6 +36,31 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestSumReadsByNameAndLabels: Sum folds one instrument's label sets,
+// filtered by the labels asked for, and never matches a label value prefix.
+func TestSumReadsByNameAndLabels(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("core.data.sends", L("program", "F"), L("rank", "0")).Add(3)
+	r.Counter("core.data.sends", L("program", "F"), L("rank", "1")).Add(4)
+	r.Counter("core.data.sends", L("program", "FF"), L("rank", "1")).Add(100)
+	r.Counter("core.data.dropped", L("program", "F")).Add(1000)
+	snap := r.Snapshot()
+	for _, c := range []struct {
+		match []Label
+		want  float64
+	}{
+		{nil, 107},
+		{[]Label{L("program", "F")}, 7},
+		{[]Label{L("program", "F"), L("rank", "1")}, 4},
+		{[]Label{L("rank", "1")}, 104},
+		{[]Label{L("program", "U")}, 0},
+	} {
+		if got := Sum(snap, "core.data.sends", c.match...); got != c.want {
+			t.Errorf("Sum(core.data.sends, %v) = %v, want %v", c.match, got, c.want)
+		}
+	}
+}
+
 func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x")

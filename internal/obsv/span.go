@@ -28,11 +28,22 @@ type Span struct {
 // pointer store; the reader (trace export) loads pointers atomically, so a
 // live run can be dumped without stopping the world and without racing.
 type Ring struct {
-	proc  string // lane name, e.g. "F:2" or "U:rep"
-	pid   int    // Chrome trace pid (per program)
-	tid   int    // Chrome trace tid (rank+2; rep is 1)
+	proc  string    // lane name, e.g. "F:2" or "U:rep"
+	pid   int       // Chrome trace pid (per program)
+	tid   int       // Chrome trace tid (rank+2; rep is 1)
+	epoch time.Time // the owning tracer's epoch (see Now)
 	next  atomic.Uint64
 	slots []atomic.Pointer[Span]
+}
+
+// Now returns nanoseconds since the owning tracer's epoch (0 on a nil ring):
+// the time base of every span on the ring, for recorders that hold only
+// the ring.
+func (r *Ring) Now() int64 {
+	if r == nil {
+		return 0
+	}
+	return int64(time.Since(r.epoch))
 }
 
 // Record appends a span to the ring, overwriting the oldest entry once the
@@ -46,31 +57,25 @@ func (r *Ring) Record(s Span) {
 	r.slots[i%uint64(len(r.slots))].Store(&sp)
 }
 
-// Len returns the number of spans currently held (≤ ring capacity).
-func (r *Ring) Len() int {
-	if r == nil {
-		return 0
-	}
-	n := r.next.Load()
-	if n > uint64(len(r.slots)) {
-		return len(r.slots)
-	}
-	return int(n)
-}
-
-// snapshot copies out the published spans, oldest first (best effort while
-// writers are active).
-func (r *Ring) snapshot() []Span {
+// Spans copies out the published spans in record order, oldest claimed slot
+// first (best effort while writers are active). Once the ring has wrapped
+// the oldest retained span sits at slot next%len, so reading starts there:
+// spans stamped in the same clock tick keep the order they were recorded in.
+func (r *Ring) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	out := make([]Span, 0, r.Len())
-	for i := range r.slots {
-		if sp := r.slots[i].Load(); sp != nil {
+	n, size := r.next.Load(), uint64(len(r.slots))
+	first := uint64(0)
+	if n > size {
+		first = n - size
+	}
+	out := make([]Span, 0, n-first)
+	for i := first; i < n; i++ {
+		if sp := r.slots[i%size].Load(); sp != nil {
 			out = append(out, *sp)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out
 }
 
@@ -148,7 +153,7 @@ func (t *Tracer) Ring(program string, rank int) *Ring {
 		pid = len(t.pids) + 1
 		t.pids[program] = pid
 	}
-	r := &Ring{proc: proc, pid: pid, tid: tid, slots: make([]atomic.Pointer[Span], t.ringSize)}
+	r := &Ring{proc: proc, pid: pid, tid: tid, epoch: t.epoch, slots: make([]atomic.Pointer[Span], t.ringSize)}
 	t.rings = append(t.rings, r)
 	return r
 }
@@ -202,7 +207,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			Name: "thread_name", Ph: "M", Pid: r.pid, Tid: r.tid,
 			Args: map[string]any{"name": r.proc},
 		})
-		for _, sp := range r.snapshot() {
+		for _, sp := range r.Spans() {
 			ev := chromeEvent{
 				Name: sp.Name, Ph: "X", Cat: "proto",
 				TS: float64(sp.TS) / 1e3, Dur: float64(sp.Dur) / 1e3,

@@ -38,16 +38,46 @@ func TestRingWraps(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		r.Record(Span{Name: "op", TS: int64(i)})
 	}
-	if r.Len() != 4 {
-		t.Fatalf("ring len = %d, want 4", r.Len())
-	}
-	spans := r.snapshot()
+	spans := r.Spans()
 	if len(spans) != 4 {
-		t.Fatalf("snapshot len = %d, want 4", len(spans))
+		t.Fatalf("ring holds %d spans, want 4", len(spans))
 	}
 	// The oldest retained span is #6 (10 writes into 4 slots).
 	if spans[0].TS != 6 || spans[3].TS != 9 {
 		t.Fatalf("ring retained wrong spans: %+v", spans)
+	}
+}
+
+// TestRingSpansRecordOrderAcrossWrap: spans with equal timestamps — common
+// on the virtual clock — come out in record order after the ring wraps,
+// oldest retained record first, not rotated at the wrap point.
+func TestRingSpansRecordOrderAcrossWrap(t *testing.T) {
+	r := NewTracer(8).Ring("F", 0)
+	for i := 0; i < 12; i++ {
+		r.Record(Span{Name: "op", TS: 42, Arg: int64(i)})
+	}
+	spans := r.Spans()
+	if len(spans) != 8 {
+		t.Fatalf("ring holds %d spans, want 8", len(spans))
+	}
+	for i, sp := range spans {
+		if sp.Arg != int64(4+i) {
+			t.Fatalf("span %d is record %d, want %d (records 4..11 in order): %+v", i, sp.Arg, 4+i, spans)
+		}
+	}
+}
+
+// TestRingSpansSnapshot: Spans returns a copy that later records do not grow.
+func TestRingSpansSnapshot(t *testing.T) {
+	r := NewTracer(8).Ring("F", 0)
+	r.Record(Span{Name: "op", TS: 1})
+	spans := r.Spans()
+	r.Record(Span{Name: "op", TS: 2})
+	if len(spans) != 1 || spans[0].TS != 1 {
+		t.Errorf("snapshot changed after a later record: %+v", spans)
+	}
+	if n := len(r.Spans()); n != 2 {
+		t.Errorf("ring holds %d spans, want 2", n)
 	}
 }
 
