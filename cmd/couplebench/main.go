@@ -16,7 +16,7 @@
 //	couplebench -figure 5              # the Figure 5 scenario trace
 //	couplebench -tub                   # buddy-help on/off ablation
 //	couplebench -onset 2,4,8,16,32     # optimal-state onset sweep
-//	couplebench coupleflight a.cpfl    # decode flight-recorder dumps
+//	couplebench coupleflight flight-*.json  # merge flight dumps into one timeline
 package main
 
 import (
@@ -30,15 +30,14 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/obsv"
-	"repro/internal/obsv/diag"
 	"repro/internal/plot"
 )
 
 var figureProcs = map[string]int{"a": 4, "b": 8, "c": 16, "d": 32}
 
 func main() {
-	// Subcommand form: `couplebench coupleflight <dump.cpfl>...` decodes
-	// flight-recorder dumps into one merged cross-rank timeline.
+	// Subcommand form: `couplebench coupleflight <flight.json>...` merges
+	// flight dumps into one cross-rank timeline of their flt.* spans.
 	if len(os.Args) > 1 && os.Args[1] == "coupleflight" {
 		if err := runCoupleflight(os.Stdout, os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "couplebench:", err)
@@ -77,22 +76,37 @@ func main() {
 	}
 }
 
-// runCoupleflight is the `couplebench coupleflight <dump.cpfl>...` decoder:
-// it reads each flight dump and writes one merged timeline to w, ordered by
-// the recorders' (virtual or wall) clock across programs and ranks.
+// runCoupleflight is the `couplebench coupleflight <flight.json>...`
+// decoder: it reads each flight dump (a Chrome trace from
+// Framework.DumpFlight, dst.Checker.SetFlight or /trace) and writes the flt.*
+// spans of all of them to w as one timeline ordered by the tracers' (virtual
+// or wall) clock, one line per span: time since the first, lane, name,
+// detail.
 func runCoupleflight(w io.Writer, paths []string) error {
 	if len(paths) == 0 {
-		return fmt.Errorf("usage: couplebench coupleflight <dump.cpfl>...")
+		return fmt.Errorf("usage: couplebench coupleflight <flight.json>...")
 	}
-	dumps := make([]*diag.Dump, 0, len(paths))
+	dumps := make([]*obsv.Dump, 0, len(paths))
 	for _, path := range paths {
-		d, err := diag.ReadDump(path)
+		d, err := obsv.ReadDump(path)
 		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
+			return err
 		}
+		fmt.Fprintf(w, "# %s: %d spans, dumped: %s\n", path, len(d.Spans), d.Reason)
 		dumps = append(dumps, d)
 	}
-	return diag.WriteTimeline(w, dumps...)
+	var flt []obsv.LaneSpan
+	for _, sp := range obsv.MergeDumps(dumps...) {
+		if strings.HasPrefix(sp.Name, "flt.") {
+			flt = append(flt, sp)
+		}
+	}
+	for _, sp := range flt {
+		if _, err := fmt.Fprintf(w, "%12.3fms  %-8s %-16s %s\n", float64(sp.TS-flt[0].TS)/1e6, sp.Lane, sp.Name, sp.Detail); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func baseConfig(procs, gridN, exports, every int, tol float64, buddy bool, runs int, fast, slow, uwork time.Duration, syncImp bool) harness.Figure4Config {

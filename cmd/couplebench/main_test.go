@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/obsv/diag"
+	"repro/internal/obsv"
 	"repro/internal/testutil"
 	"repro/internal/vclock"
 )
@@ -151,28 +151,32 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestCoupleflightDecodesDumps writes two programs' flight rings the way a
-// crashing run does (Recorder.DumpFile) and decodes them through the
-// coupleflight subcommand into one merged, clock-ordered timeline.
+// TestCoupleflightDecodesDumps writes two programs' span rings the way a
+// crashing distributed run does (one tracer per program on one clock,
+// Tracer.DumpFile) and decodes them through the coupleflight subcommand into
+// one merged, clock-ordered timeline of their flt.* spans.
 func TestCoupleflightDecodesDumps(t *testing.T) {
 	dir := t.TempDir()
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	recF, recU := diag.NewRecorder("F", 16, clk), diag.NewRecorder("U", 16, clk)
+	trF := obsv.NewTracer(16, clk)
+	clk.Advance(time.Millisecond) // the programs started apart: epochs differ
+	trU := obsv.NewTracer(16, clk)
 	for _, step := range []struct {
-		rec *diag.Recorder
-		ev  diag.Event
+		ring *obsv.Ring
+		sp   obsv.Span
 	}{
-		{recF, diag.Event{Kind: diag.KindExportStall, Rank: 1, A1: 1500, Note: "F.f>U.f"}},
-		{recU, diag.Event{Kind: diag.KindMark, Rank: 0, Note: "import late"}},
-		{recF, diag.Event{Kind: diag.KindPeerDown, Rank: 0}},
-		{recU, diag.Event{Kind: diag.KindPeerDown, Rank: 1}},
+		{trF.Ring("F", 1), obsv.Span{Name: "flt.export-stall", Dur: 1500, Detail: "F.f>U.f"}},
+		{trU.Ring("U", 0), obsv.Span{Name: "import", Dur: 100}}, // not a flight event
+		{trF.Ring("F", 0), obsv.Span{Name: "flt.peer-down", Detail: "U"}},
+		{trU.Ring("U", -1), obsv.Span{Name: "flt.peer-down", Detail: "F"}},
 	} {
-		step.rec.Record(step.ev)
+		step.sp.TS = step.ring.Now()
+		step.ring.Record(step.sp)
 		clk.Advance(time.Millisecond)
 	}
 	var paths []string
-	for _, rec := range []*diag.Recorder{recU, recF} {
-		path, err := rec.DumpFile(dir, "test")
+	for _, tr := range []*obsv.Tracer{trU, trF} {
+		path, err := tr.DumpFile(dir, "test")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,15 +192,18 @@ func TestCoupleflightDecodesDumps(t *testing.T) {
 			lanes = append(lanes, f[1]+" "+f[2])
 		}
 	}
-	want := []string{"F:1 export-stall", "U:0 mark", "F:0 peer-down", "U:1 peer-down"}
+	want := []string{"F:1 flt.export-stall", "F:0 flt.peer-down", "U:rep flt.peer-down"}
 	if strings.Join(lanes, ", ") != strings.Join(want, ", ") {
 		t.Errorf("merged timeline lanes %q, want %q\n%s", lanes, want, out.String())
+	}
+	if !strings.Contains(out.String(), "2.000ms  F:0") {
+		t.Errorf("F:0's span is not 2 ms after the first:\n%s", out.String())
 	}
 
 	if err := runCoupleflight(&out, nil); err == nil {
 		t.Error("no dump paths accepted")
 	}
-	if err := runCoupleflight(&out, []string{filepath.Join(dir, "missing.cpfl")}); err == nil {
+	if err := runCoupleflight(&out, []string{filepath.Join(dir, "missing.json")}); err == nil {
 		t.Error("missing dump accepted")
 	}
 }

@@ -84,11 +84,10 @@ func main() {
 			"record protocol spans (dump at /trace or with -trace-out; piggybacks trace IDs on the wire)")
 		traceOut = flag.String("trace-out", "",
 			"write the recorded span trace as Chrome trace JSON to this file on exit (implies -obsv-trace)")
-		diagOn = flag.Bool("diag", false,
-			"enable coupling-aware diagnosis: per-collective straggler attribution (/diag/stragglers, "+
-				"statusz diag: section) and a crash-safe flight recorder (dumped on peer death or SIGQUIT)")
-		flightDir = flag.String("flight-dir", "",
-			"directory for flight-recorder dumps (with -diag; default: the OS temp directory)")
+		diagDir = flag.String("diag", "",
+			"enable coupling-aware diagnosis, dumping flight traces to this directory: per-collective "+
+				"straggler attribution (/diag/stragglers, statusz diag: section) and flt.* flight events "+
+				"on the span rings, written as flight-*.json on peer death or SIGQUIT (implies -obsv-trace)")
 	)
 	flag.Parse()
 	if *listen != "" {
@@ -106,8 +105,8 @@ func main() {
 		os.Exit(2)
 	}
 	if err := run(*cfgPath, *program, *router, *gridN, *steps, *every, *buddy, *verbose, *hb, *retries,
-		*ckptDir, *ckptEvery, *restore, *obsvAddr, *obsvTrace || *traceOut != "", *traceOut,
-		*diagOn, *flightDir); err != nil {
+		*ckptDir, *ckptEvery, *restore, *obsvAddr, *obsvTrace || *traceOut != "" || *diagDir != "", *traceOut,
+		*diagDir); err != nil {
 		fmt.Fprintln(os.Stderr, "coupled:", err)
 		os.Exit(1)
 	}
@@ -149,14 +148,13 @@ func contains(xs []string, s string) bool {
 
 func run(cfgPath, program, router string, gridN, steps, every int, buddy, verbose bool,
 	heartbeat time.Duration, maxRetries int, ckptDir string, ckptEvery int, restore bool,
-	obsvAddr string, tracing bool, traceOut string, diagOn bool, flightDir string) error {
+	obsvAddr string, tracing bool, traceOut string, diagDir string) error {
 	cfg, err := config.ParseFile(cfgPath)
 	if err != nil {
 		return err
 	}
 	opts := core.Options{
-		BuddyHelp: buddy, Timeout: 2 * time.Minute, Heartbeat: heartbeat,
-		Diag: diagOn, FlightDir: flightDir,
+		BuddyHelp: buddy, Timeout: 2 * time.Minute, Heartbeat: heartbeat, Diag: diagDir,
 	}
 	// Restart epoch: 0 for a fresh start; a restore learns it from the saved
 	// checkpoint before the transport session is built, so peers can tell the
@@ -224,21 +222,19 @@ func run(cfgPath, program, router string, gridN, steps, every int, buddy, verbos
 	}
 	defer fw.Close()
 
-	if diagOn {
-		// SIGQUIT preserves its kill semantics but writes the flight rings
-		// first: the crashed run's last protocol events, decodable with
-		// `couplebench coupleflight <files>`.
+	if diagDir != "" {
+		// SIGQUIT preserves its kill semantics but writes the span rings
+		// first: the crashed run's last protocol events, a Chrome trace that
+		// Perfetto opens and `couplebench coupleflight <files>` merges.
 		sigc := make(chan os.Signal, 1)
 		signal.Notify(sigc, syscall.SIGQUIT)
 		defer signal.Stop(sigc)
 		go func() {
 			<-sigc
-			paths, err := fw.DumpFlight("SIGQUIT")
-			if err != nil {
+			if path, err := fw.DumpFlight("SIGQUIT"); err != nil {
 				fmt.Fprintln(os.Stderr, "coupled: flight dump:", err)
-			}
-			for _, p := range paths {
-				fmt.Fprintf(os.Stderr, "coupled: flight dump written to %s\n", p)
+			} else {
+				fmt.Fprintf(os.Stderr, "coupled: flight dump written to %s\n", path)
 			}
 			os.Exit(2)
 		}()

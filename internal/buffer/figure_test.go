@@ -15,7 +15,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // newFigureRing returns a span lane large enough for any scenario test.
-func newFigureRing() *obsv.Ring { return obsv.NewTracer(1<<10).Ring("F", 0) }
+func newFigureRing() *obsv.Ring { return obsv.NewTracer(1<<10, nil).Ring("F", 0) }
 
 // wantFigureLines checks that the figure lines recorded on ring are exactly
 // want, in order.

@@ -41,35 +41,13 @@ type Pool struct {
 	classes [poolClasses][][]float64
 	stats   PoolStats
 
-	// live tracks the backing arrays currently checked out of the pool (by
-	// first-element pointer) when checked mode is on; violations records
-	// every Put that broke the ownership discipline. Checked mode exists for
-	// the deterministic simulation harness — the bookkeeping costs a map
-	// operation per Get/Put, so production runs leave it off.
-	checked    bool
-	live       map[*float64]bool
+	// violations records every Put the pool refused because the backing
+	// array was already on its class's freelist (a double free).
 	violations []string
 }
 
-// SetChecked turns ownership checking on or off. With checking on, every
-// pooled buffer must alternate strictly Get -> Put: a Put of a buffer that is
-// not checked out (a double free, or a free of a buffer the pool never saw
-// while an identical one is pooled) is recorded as a violation instead of
-// corrupting the freelist. Call before the pool is in use.
-func (p *Pool) SetChecked(on bool) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.checked = on
-	if on && p.live == nil {
-		p.live = make(map[*float64]bool)
-	}
-	p.mu.Unlock()
-}
-
-// Violations returns the ownership violations recorded since checking was
-// enabled (nil when none, or when checking is off).
+// Violations returns the ownership violations recorded so far (nil when
+// none).
 func (p *Pool) Violations() []string {
 	if p == nil {
 		return nil
@@ -123,24 +101,21 @@ func (p *Pool) Get(n int) []float64 {
 		free[len(free)-1] = nil
 		p.classes[c] = free[:len(free)-1]
 		p.stats.Hits++
-		if p.checked {
-			p.live[poolKey(buf)] = true
-		}
 		return buf[:n]
 	}
 	p.stats.Misses++
 	// Allocate the class's full capacity so the buffer re-enters the same
 	// class on Put whatever length it was used at.
-	buf := make([]float64, n, 1<<c)
-	if p.checked {
-		p.live[poolKey(buf)] = true
-	}
-	return buf
+	return make([]float64, n, 1<<c)
 }
 
 // Put returns a buffer to its size class. Buffers whose capacity is not an
 // exact class size (allocated elsewhere) and buffers beyond the class depth
-// are discarded to the garbage collector, bounding pool memory.
+// are discarded to the garbage collector, bounding pool memory. A buffer
+// whose backing array is already on the freelist is a double free: Put
+// refuses it and records a violation, so two later Gets never share an
+// array. The check scans at most depth pointers under the lock Put holds
+// anyway.
 func (p *Pool) Put(buf []float64) {
 	if p == nil || cap(buf) == 0 {
 		return
@@ -149,16 +124,19 @@ func (p *Pool) Put(buf []float64) {
 	defer p.mu.Unlock()
 	p.stats.Puts++
 	c := classOf(cap(buf))
-	if p.checked && c >= 0 && cap(buf) == 1<<c {
-		k := poolKey(buf)
-		if !p.live[k] {
-			p.violations = append(p.violations,
-				fmt.Sprintf("buffer: Put of a buffer (cap %d) not checked out of the pool (double free?)", cap(buf)))
-			return // refusing the Put keeps the freelist free of duplicates
-		}
-		delete(p.live, k)
+	if c < 0 || cap(buf) != 1<<c {
+		p.stats.Discards++
+		return
 	}
-	if c < 0 || cap(buf) != 1<<c || len(p.classes[c]) >= p.depth {
+	k := poolKey(buf)
+	for _, free := range p.classes[c] {
+		if poolKey(free) == k {
+			p.violations = append(p.violations,
+				fmt.Sprintf("buffer: Put of a buffer (cap %d) already in the pool (double free)", cap(buf)))
+			return
+		}
+	}
+	if len(p.classes[c]) >= p.depth {
 		p.stats.Discards++
 		return
 	}

@@ -174,6 +174,23 @@ func TestPoolBounds(t *testing.T) {
 	}
 }
 
+// TestPoolRefusesDoubleFree: with no option set, a second Put of the same
+// buffer is refused and recorded, so the next two Gets of its class hand out
+// different backing arrays instead of one array twice.
+func TestPoolRefusesDoubleFree(t *testing.T) {
+	p := NewPool(0)
+	buf := p.Get(8)
+	p.Put(buf)
+	p.Put(buf)
+	if v := p.Violations(); len(v) != 1 {
+		t.Fatalf("violations = %q, want exactly one", v)
+	}
+	a, b := p.Get(8), p.Get(8)
+	if &a[0] == &b[0] {
+		t.Fatal("two Gets returned the same backing array")
+	}
+}
+
 // TestQuickByteAccountingWithPool is the property test that Manager byte
 // accounting stays exact across store/evict/sweep with pooled buffers of
 // varying sizes. Unlike TestQuickManagerInvariants (fixed-size objects) it

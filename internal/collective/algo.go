@@ -115,8 +115,8 @@ type Table struct {
 	// pipelined binomial broadcast with BcastSegSize-byte segments.
 	BcastSegBytes int
 	BcastSegSize  int
-	// AllGatherRingSize: groups at least this large use the ring AllGather.
-	AllGatherRingSize int
+	// AllGatherRingRanks: groups at least this large use the ring AllGather.
+	AllGatherRingRanks int
 	// AllToAllPairwiseSize: groups at least this large use pairwise exchange.
 	AllToAllPairwiseSize int
 }
@@ -129,7 +129,7 @@ func DefaultTable() *Table {
 		ReduceScatterRingBytes: 32 << 10,
 		BcastSegBytes:          256 << 10,
 		BcastSegSize:           64 << 10,
-		AllGatherRingSize:      5,
+		AllGatherRingRanks:     5,
 		AllToAllPairwiseSize:   4,
 	}
 }
@@ -153,7 +153,7 @@ func (t *Table) reduceScatterAlgo(size, bytes int) Algo {
 }
 
 func (t *Table) allGatherAlgo(size int) Algo {
-	if size >= t.AllGatherRingSize && size <= maxRingRanks {
+	if size >= t.AllGatherRingRanks && size <= maxRingRanks {
 		return Ring
 	}
 	return Linear

@@ -22,12 +22,12 @@ func forcedTable(a Algo) *Table {
 		ReduceScatterRingBytes: math.MaxInt,
 		BcastSegBytes:          math.MaxInt,
 		BcastSegSize:           DefaultTable().BcastSegSize,
-		AllGatherRingSize:      math.MaxInt,
+		AllGatherRingRanks:     math.MaxInt,
 		AllToAllPairwiseSize:   math.MaxInt,
 	}
 	switch a {
 	case Ring:
-		t.AllReduceRingBytes, t.ReduceScatterRingBytes, t.AllGatherRingSize = 0, 0, 0
+		t.AllReduceRingBytes, t.ReduceScatterRingBytes, t.AllGatherRingRanks = 0, 0, 0
 	case BinomialSeg:
 		t.BcastSegBytes = 0
 	case Pairwise:
@@ -368,7 +368,7 @@ func TestDispatchByTable(t *testing.T) {
 		ReduceScatterRingBytes: 8 * 24,
 		BcastSegBytes:          128,
 		BcastSegSize:           256,
-		AllGatherRingSize:      4,
+		AllGatherRingRanks:     4,
 		AllToAllPairwiseSize:   4,
 	}
 	for _, n := range []int{3, 4} {

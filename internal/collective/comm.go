@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"repro/internal/buffer"
+	"repro/internal/obsv"
 	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 	"repro/internal/vclock"
@@ -102,10 +103,11 @@ type Comm struct {
 
 	// Diagnosis state (see diag.go). hlen is the per-payload prefix length:
 	// hdrLen normally, hdrLen+trailerLen when critical-path attribution is
-	// on and every payload carries the piggybacked fold trailer.
+	// on and every payload carries the piggybacked fold trailer. ring is the
+	// process's span lane, where the flt.* flight events go (nil = none).
 	hlen   int
 	board  *diag.Board
-	flight *diag.Recorder
+	ring   *obsv.Ring
 	dclk   vclock.Clock
 	dstate diagState
 }

@@ -2,8 +2,10 @@ package collective
 
 import (
 	"encoding/binary"
+	"fmt"
 	"time"
 
+	"repro/internal/obsv"
 	"repro/internal/obsv/diag"
 )
 
@@ -44,14 +46,15 @@ type diagState struct {
 	maxRank int32 // rank blamed for maxWait; -1 = none
 }
 
-// SetDiag attaches critical-path attribution to this Comm: finished
-// operations are Note()d on board, and — when flight is non-nil — recorded
-// as flight-recorder events. Diagnosis changes the wire layout (every
-// payload grows a trailerLen trailer), so like SetTable it must be applied
-// group-consistently: every rank of the group, or none. A nil board turns
-// diagnosis off again.
-func (c *Comm) SetDiag(board *diag.Board, flight *diag.Recorder) {
-	c.board, c.flight = board, flight
+// SetDiag attaches critical-path attribution and flight events to this
+// Comm. With a board, finished operations are Note()d on it; diagnosis
+// changes the wire layout (every payload grows a trailerLen trailer), so like
+// SetTable it must be applied group-consistently: every rank of the group,
+// or none. With a ring, finished operations (under a board) and the fault
+// events — revoke, agree, shrink — are recorded on it as flt.* spans. A nil
+// board means no trailer; a nil ring means no spans.
+func (c *Comm) SetDiag(board *diag.Board, ring *obsv.Ring) {
+	c.board, c.ring = board, ring
 	if board == nil {
 		c.hlen = hdrLen
 		c.dclk = nil
@@ -59,14 +62,9 @@ func (c *Comm) SetDiag(board *diag.Board, flight *diag.Recorder) {
 		return
 	}
 	c.hlen = hdrLen + trailerLen
-	// Timestamps must come from one clock per group. Prefer the flight
-	// recorder's (the framework clock — virtual under DST, so dumped
-	// timelines sort by simulated time); fall back to the dispatcher's.
+	// Timestamps must come from one clock per group: the dispatcher's, which
+	// core sets to the framework clock on every process.
 	c.dclk = c.d.Clock()
-	if flight != nil {
-		c.dclk = flight.Clock()
-		flight.SetOpNames(opTags[:])
-	}
 }
 
 // Board returns the attached straggler board (possibly nil).
@@ -148,9 +146,9 @@ func (c *Comm) diagFold(from int, p []byte, live bool, postNS, recvNS int64) {
 }
 
 // diagEnd flushes the finished operation's attribution: one board note, the
-// straggler instruments, and (when attached) a flight-recorder event. It is
-// idempotent per operation, so composed collectives — whose inner ops each
-// ran their own begin/end — no-op on the outer flush.
+// straggler instruments, and (when a ring is attached) an flt.collective
+// span. It is idempotent per operation, so composed collectives — whose
+// inner ops each ran their own begin/end — no-op on the outer flush.
 func (c *Comm) diagEnd(op opID) {
 	d := &c.dstate
 	if !d.active {
@@ -160,14 +158,10 @@ func (c *Comm) diagEnd(op opID) {
 	blamed := int(d.maxRank)
 	c.board.Note(c.opSeq, c.rank, blamed, d.maxWait, d.xferNS)
 	c.ins.observeStraggler(op, blamed, d.waitNS, d.xferNS)
-	if c.flight != nil {
-		c.flight.Record(diag.Event{
-			Kind: diag.KindCollective,
-			Seq:  c.opSeq,
-			Op:   uint8(op),
-			Rank: int32(c.rank),
-			A1:   int64(blamed),
-			A2:   d.waitNS,
+	if c.ring != nil {
+		c.ring.Record(obsv.Span{
+			Name: "flt.collective", TS: c.ring.Now(), Arg: int64(c.opSeq),
+			Detail: fmt.Sprintf("%s blamed=%d wait=%v", opTags[op], blamed, time.Duration(d.waitNS)),
 		})
 	}
 }

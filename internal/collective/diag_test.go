@@ -2,6 +2,7 @@ package collective
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,11 +14,13 @@ import (
 )
 
 // runDiagGroup is runGroup with critical-path attribution wired on every
-// rank: one shared board and flight recorder per group, as core wires them.
-func runDiagGroup(t *testing.T, size int, fn func(c *Comm) error) (*diag.Board, *diag.Recorder) {
+// rank as core wires it: one shared board per group, and each rank's own
+// span lane on one tracer.
+func runDiagGroup(t *testing.T, size int, fn func(c *Comm) error) (*diag.Board, []*obsv.Ring) {
 	t.Helper()
 	board := diag.NewBoard("G", size)
-	flight := diag.NewRecorder("G", 1<<10, nil)
+	tracer := obsv.NewTracer(1<<10, nil)
+	rings := make([]*obsv.Ring, size)
 	net := transport.NewMemNetwork()
 	defer net.Close()
 	comms := make([]*Comm, size)
@@ -31,7 +34,8 @@ func runDiagGroup(t *testing.T, size int, fn func(c *Comm) error) (*diag.Board, 
 			t.Fatal(err)
 		}
 		comms[r].SetTimeout(30 * time.Second)
-		comms[r].SetDiag(board, flight)
+		rings[r] = tracer.Ring("G", r)
+		comms[r].SetDiag(board, rings[r])
 	}
 	errs := make([]error, size)
 	var wg sync.WaitGroup
@@ -48,7 +52,7 @@ func runDiagGroup(t *testing.T, size int, fn func(c *Comm) error) (*diag.Board, 
 			t.Errorf("rank %d: %v", r, err)
 		}
 	}
-	return board, flight
+	return board, rings
 }
 
 // TestDiagTrailerPreservesResults re-runs every operation with the
@@ -139,7 +143,7 @@ func TestDiagBlamesSlowRank(t *testing.T) {
 	for _, algo := range []Algo{RecursiveDoubling, Ring} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			board, flight := runDiagGroup(t, size, func(c *Comm) error {
+			board, rings := runDiagGroup(t, size, func(c *Comm) error {
 				vals := make([]float64, 256)
 				c.force(algo)
 				for i := 0; i < ops; i++ {
@@ -170,16 +174,17 @@ func TestDiagBlamesSlowRank(t *testing.T) {
 					t.Fatalf("top straggler %+v, want rank %d", top, slow)
 				}
 			}
-			// The flight recorder saw the same ops.
-			events := flight.Snapshot()
-			coll := 0
-			for _, e := range events {
-				if e.Kind == diag.KindCollective {
-					coll++
+			// Every rank recorded each op as an flt.collective span.
+			for r, ring := range rings {
+				coll := 0
+				for _, sp := range ring.Spans() {
+					if sp.Name == "flt.collective" && strings.HasPrefix(sp.Detail, "allreduce ") {
+						coll++
+					}
 				}
-			}
-			if coll == 0 {
-				t.Fatal("no collective events in the flight recorder")
+				if coll != ops {
+					t.Fatalf("rank %d: %d flt.collective spans, want %d", r, coll, ops)
+				}
 			}
 		})
 	}

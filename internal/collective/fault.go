@@ -43,7 +43,7 @@ import (
 	"sort"
 
 	"repro/internal/buffer"
-	"repro/internal/obsv/diag"
+	"repro/internal/obsv"
 	"repro/internal/transport"
 )
 
@@ -257,24 +257,10 @@ func (c *Comm) failedErr(from int, op opID, h uint64) error {
 	}
 }
 
-// recordFT emits a fault-tolerance flight-recorder event (nil-safe).
-func (c *Comm) recordFT(kind diag.Kind, a1, a2 int64, note string) {
-	if c.flight == nil {
-		return
-	}
-	c.flight.Record(diag.Event{
-		Kind: kind, Seq: c.opSeq, Rank: int32(c.rank), A1: a1, A2: a2, Note: note,
-	})
-}
-
-// SetFlightRecorder attaches only the flight recorder, without enabling
-// payload attribution (SetDiag enables both). Fault events — revoke, agree,
-// shrink — are then captured even when diagnosis is off.
-func (c *Comm) SetFlightRecorder(r *diag.Recorder) {
-	c.flight = r
-	if r != nil {
-		r.SetOpNames(opTags[:])
-	}
+// recordFT records a fault-tolerance flight event as a span named name on
+// the attached ring (no-op without one).
+func (c *Comm) recordFT(name, detail string) {
+	c.ring.Record(obsv.Span{Name: name, TS: c.ring.Now(), Arg: int64(c.opSeq), Detail: detail})
 }
 
 // sendCtl best-effort-delivers a control frame; control floods never fail
@@ -302,7 +288,7 @@ func (c *Comm) Revoke() {
 		return
 	}
 	c.markRevoked()
-	c.recordFT(diag.KindRevoke, int64(c.epoch), 1, "")
+	c.recordFT("flt.revoke", fmt.Sprintf("epoch=%d initiator", c.epoch))
 	b := make([]byte, hdrLen)
 	putHdr(b, c.hdr(0, 0, opRevoke))
 	for r := 0; r < c.size; r++ {
@@ -613,7 +599,7 @@ func (c *Comm) AgreeFailures() ([]int, error) {
 	c.pruneSuspectPending()
 	c.ins.incFailure(ctrAgreed)
 	failed := mask.ranks()
-	c.recordFT(diag.KindAgree, int64(len(failed)), int64(c.epoch), fmt.Sprint(failed))
+	c.recordFT("flt.agree", fmt.Sprintf("failed=%v epoch=%d", failed, c.epoch))
 	if mask.has(c.rank) {
 		return failed, ErrExcluded
 	}
@@ -738,7 +724,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 		epoch: c.epoch + 1, peers: newPeers,
 		pendingCap: c.pendingCap, pending: newPending(len(newPeers), c.pendingCap),
 		pool: c.pool, seen: c.seen, fscratch: c.fscratch,
-		ins: c.ins, hlen: c.hlen, board: c.board, flight: c.flight, dclk: c.dclk,
+		ins: c.ins, hlen: c.hlen, board: c.board, ring: c.ring, dclk: c.dclk,
 		timer: c.timer, clk: c.clk, armedAt: c.armedAt,
 	}
 	// Carry parked frames that already belong to the successor (or a later)
@@ -770,7 +756,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 	c.revoked = true
 	c.pending, c.pointPending, c.pool, c.seen, c.fscratch, c.timer = nil, nil, nil, buffer.FrameStats{}, nil, nil
 	nc.ins.incFailure(ctrShrinks)
-	nc.recordFT(diag.KindShrink, int64(nc.epoch), int64(nc.size), fmt.Sprintf("%d->%d", c.rank, newRank))
+	nc.recordFT("flt.shrink", fmt.Sprintf("epoch=%d size=%d rank %d->%d", nc.epoch, nc.size, c.rank, newRank))
 	return nc, nil
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 )
 
@@ -870,16 +869,16 @@ func TestShrunkSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderFTEvents: revoke, agree and shrink leave their marks in
-// the flight recorder and the failure counters reach /statusz.
+// TestFlightRecorderFTEvents: revoke, agree and shrink leave flt.* spans on
+// each survivor's ring (attached without a board: no trailer) and the
+// failure counters reach /statusz.
 func TestFlightRecorderFTEvents(t *testing.T) {
 	const n, dead = 3, 2
 	_, comms, disps := ftGroup(t, n, time.Second)
 	reg := obsv.NewRegistry()
-	recs := make([]*diag.Recorder, n)
+	tracer := obsv.NewTracer(64, nil)
 	for r := 0; r < n; r++ {
-		recs[r] = diag.NewRecorder("G", 64, nil)
-		comms[r].SetFlightRecorder(recs[r])
+		comms[r].SetDiag(nil, tracer.Ring("G", r))
 		comms[r].SetInstruments(NewInstruments(reg, "G"))
 	}
 	disps[dead].Close()
@@ -898,15 +897,15 @@ func TestFlightRecorderFTEvents(t *testing.T) {
 		}
 	}
 	for _, r := range []int{0, 1} {
-		want := map[diag.Kind]bool{diag.KindRevoke: false, diag.KindAgree: false, diag.KindShrink: false}
-		for _, e := range recs[r].Snapshot() {
-			if _, ok := want[e.Kind]; ok {
-				want[e.Kind] = true
+		want := map[string]bool{"flt.revoke": false, "flt.agree": false, "flt.shrink": false}
+		for _, sp := range tracer.Ring("G", r).Spans() {
+			if _, ok := want[sp.Name]; ok {
+				want[sp.Name] = true
 			}
 		}
-		for k, seen := range want {
+		for name, seen := range want {
 			if !seen {
-				t.Errorf("rank %d: no %v event in the flight recorder", r, k)
+				t.Errorf("rank %d: no %s span on its ring", r, name)
 			}
 		}
 	}

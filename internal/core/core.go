@@ -93,23 +93,19 @@ type Options struct {
 	// simulation harness injects a virtual clock; the transport layers of
 	// Options.Network take their own clocks via their configs.
 	Clock vclock.Clock
-	// CheckedPools turns on buffer-pool ownership checking (buffer.Pool
-	// SetChecked) in every hosted process: double frees are recorded instead
-	// of corrupting freelists, and PoolViolations reports them. Simulation
-	// harness only — it costs a map operation per pooled Get/Put.
-	CheckedPools bool
-	// Diag enables coupling-aware diagnosis: every hosted program gets a
-	// straggler board fed by per-collective critical-path attribution
-	// (collective payloads grow a 16-byte trailer; see package collective)
-	// and a crash-safe flight recorder of protocol events. Surfaced as the
-	// collective.<op>.straggler.* instruments, the /diag/stragglers endpoint
-	// and a diag: block in /statusz; DumpFlight (and peer-death detection)
-	// writes the flight rings to FlightDir. Off by default — the collective
-	// hot path then keeps its 0 allocs/op guarantee.
-	Diag bool
-	// FlightDir is where flight-recorder dumps are written ("" = the OS temp
-	// directory). Only meaningful with Diag.
-	FlightDir string
+	// Diag enables coupling-aware diagnosis and names the directory flight
+	// dumps are written to ("" = off). Every hosted program gets a straggler
+	// board fed by per-collective critical-path attribution (collective
+	// payloads grow a 16-byte trailer; see package collective), surfaced as
+	// the collective.<op>.straggler.* instruments, the /diag/stragglers
+	// endpoint and a diag: block in /statusz. Diag implies tracing: without
+	// a Tracer on Obsv the framework builds one on Clock, so the flt.* flight
+	// events — and with them the timing spans, the fig.* lines and trace IDs
+	// on the wire — are recorded on the span rings, and DumpFlight (called
+	// on heartbeat-declared peer death too) writes them to this directory.
+	// Off by default — the collective hot path then keeps its 0 allocs/op
+	// guarantee.
+	Diag string
 }
 
 // Framework hosts one coupled run — either every program of the
@@ -128,7 +124,8 @@ type Framework struct {
 
 	// obs is the observability layer (never nil — a private registry-only
 	// observer is created when Options.Obsv is nil); tracer is obs.Tracer,
-	// hoisted because the hot paths nil-check it.
+	// hoisted because the hot paths nil-check it, or the framework's own
+	// tracer when Options.Diag needs one and obs has none.
 	obs    *obsv.Observer
 	tracer *obsv.Tracer
 
@@ -154,6 +151,9 @@ func (f *Framework) initObsv() {
 		f.obs = obsv.New(obsv.Config{})
 	}
 	f.tracer = f.obs.Tracer
+	if f.tracer == nil && f.opts.Diag != "" {
+		f.tracer = obsv.NewTracer(0, f.opts.Clock)
+	}
 	reg := f.obs.Registry
 	c := transport.FindLayer[*transport.CoalescingNetwork](f.net)
 	t := transport.FindLayer[*transport.TCPNetwork](f.net)
@@ -189,7 +189,7 @@ func (f *Framework) initObsv() {
 // time (the program set never changes after New/Join), so the per-request
 // closure reads immutable state.
 func (f *Framework) initDiag() {
-	if !f.opts.Diag {
+	if f.opts.Diag == "" {
 		return
 	}
 	boards := make([]*diag.Board, 0, len(f.programs))
@@ -199,34 +199,16 @@ func (f *Framework) initDiag() {
 	f.obs.Handle("/diag/stragglers", diag.Handler(5, func() []*diag.Board { return boards }))
 }
 
-// flightRecorders returns the hosted programs' flight recorders in name
-// order (empty unless Options.Diag).
-func (f *Framework) flightRecorders() []*diag.Recorder {
-	names := make([]string, 0, len(f.programs))
-	for name := range f.programs {
-		names = append(names, name)
+// DumpFlight writes the framework's span rings — the flt.* flight events
+// among them — as Chrome trace JSON to a new flight-*.json file in
+// Options.Diag and returns its path. Called on SIGQUIT by cmd/coupled; the
+// framework itself also dumps on heartbeat-declared peer death. A no-op
+// ("", nil) unless Options.Diag.
+func (f *Framework) DumpFlight(reason string) (string, error) {
+	if f.opts.Diag == "" {
+		return "", nil
 	}
-	sort.Strings(names)
-	var recs []*diag.Recorder
-	for _, name := range names {
-		if r := f.programs[name].flight; r != nil {
-			recs = append(recs, r)
-		}
-	}
-	return recs
-}
-
-// DumpFlight writes every hosted program's flight-recorder ring to
-// Options.FlightDir ("" = the OS temp directory), one self-describing
-// .cpfl file per program, and returns the file paths. Called on SIGQUIT by
-// cmd/coupled; the framework itself also dumps on heartbeat-declared peer
-// death. A no-op (nil, nil) unless Options.Diag.
-func (f *Framework) DumpFlight(reason string) ([]string, error) {
-	recs := f.flightRecorders()
-	if len(recs) == 0 {
-		return nil, nil
-	}
-	return diag.DumpAll(f.opts.FlightDir, reason, recs...)
+	return f.tracer.DumpFile(f.opts.Diag, reason)
 }
 
 // writeStatus renders the /statusz section: per-connection pipeline state of
@@ -345,8 +327,8 @@ func build(cfg *config.Config, local string, hosted []config.Program, opts Optio
 	return f, nil
 }
 
-// PoolViolations returns every buffer-pool ownership violation recorded
-// across the hosted processes (empty unless Options.CheckedPools). The
+// PoolViolations returns every buffer-pool ownership violation (a double
+// free the pool refused) recorded across the hosted processes. The
 // simulation harness asserts it is empty after every run.
 func (f *Framework) PoolViolations() []string {
 	var out []string

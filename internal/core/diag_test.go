@@ -2,21 +2,22 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/obsv/diag"
+	"repro/internal/obsv"
 )
 
 // TestDiagWiring runs a coupled pair with Options.Diag on: the exporter's
 // collectives must feed the straggler board, /diag/stragglers must serve it,
-// /statusz must grow a diag: section, and DumpFlight must produce decodable
-// flight dumps for both programs.
+// /statusz must grow a diag: section, and DumpFlight must write a Chrome
+// trace holding the collectives as flt.collective spans on E's lanes.
 func TestDiagWiring(t *testing.T) {
-	f := buildCoupling(t, Options{Diag: true, FlightDir: t.TempDir()}, 4, 2, 8, "REGL 1")
+	f := buildCoupling(t, Options{Diag: t.TempDir()}, 4, 2, 8, "REGL 1")
 	const slow = 2
 	prog := f.MustProgram("E")
 	ring := collective.DefaultTable()
@@ -71,41 +72,41 @@ func TestDiagWiring(t *testing.T) {
 		t.Fatalf("statusz missing diag section:\n%s", status.String())
 	}
 
-	// DumpFlight writes one decodable dump per program.
-	paths, err := f.DumpFlight("test")
+	// DumpFlight writes one trace file with every lane of both programs.
+	path, err := f.DumpFlight("test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(paths) != 2 {
-		t.Fatalf("DumpFlight wrote %d files, want 2", len(paths))
-	}
-	d, err := diag.ReadDump(paths[0])
+	d, err := obsv.ReadDump(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coll := 0
-	for _, e := range d.Events {
-		if e.Kind == diag.KindCollective {
-			coll++
+	coll := map[string]int{}
+	for _, sp := range d.Spans {
+		if sp.Name == "flt.collective" {
+			coll[sp.Lane]++
 		}
 	}
-	if d.Program != "E" || coll == 0 {
-		t.Fatalf("dump %s: program=%q collective events=%d", paths[0], d.Program, coll)
+	for r := 0; r < prog.Procs(); r++ {
+		if lane := fmt.Sprintf("E:%d", r); coll[lane] < 20 {
+			t.Fatalf("dump %s (%q): %d flt.collective spans on lane %s, want >= 20 (all: %v)",
+				path, d.Reason, coll[lane], lane, coll)
+		}
 	}
 }
 
 // TestDiagOffNoTrailer pins the default: without Options.Diag no board, no
-// recorder, no /diag endpoint — and the collective wire format is unchanged.
+// tracer, no /diag endpoint — and the collective wire format is unchanged.
 func TestDiagOffNoTrailer(t *testing.T) {
 	f := buildCoupling(t, Options{}, 2, 2, 4, "REGL 1")
 	prog := f.MustProgram("E")
-	if prog.board != nil || prog.flight != nil {
+	if prog.board != nil || f.tracer != nil {
 		t.Fatal("diag state allocated without Options.Diag")
 	}
 	if f.Obsv().HandlerFor("/diag/stragglers") != nil {
 		t.Fatal("/diag/stragglers mounted without Options.Diag")
 	}
-	if paths, err := f.DumpFlight("x"); err != nil || paths != nil {
-		t.Fatalf("DumpFlight = %v, %v; want nil, nil", paths, err)
+	if path, err := f.DumpFlight("x"); err != nil || path != "" {
+		t.Fatalf("DumpFlight = %q, %v; want \"\", nil", path, err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/collective"
-	"repro/internal/obsv/diag"
 )
 
 // TestRecoverGroupShrinkAndContinue exercises the full intra-program recovery
@@ -20,7 +19,7 @@ import (
 // survivor-subset result. Property 1: every survivor sees the identical
 // failed set and the identical re-run result.
 func TestRecoverGroupShrinkAndContinue(t *testing.T) {
-	f := buildCoupling(t, Options{Diag: true, Timeout: 2 * time.Second}, 4, 2, 8, "REGL 1")
+	f := buildCoupling(t, Options{Diag: t.TempDir(), Timeout: 2 * time.Second}, 4, 2, 8, "REGL 1")
 	prog := f.MustProgram("E")
 	const dead = 2
 
@@ -106,14 +105,18 @@ func TestRecoverGroupShrinkAndContinue(t *testing.T) {
 		}
 	}
 
-	// The recovery sequence is visible in the flight recorder...
-	kinds := map[diag.Kind]bool{}
-	for _, e := range prog.flight.Snapshot() {
-		kinds[e.Kind] = true
+	// The recovery sequence is visible as flt.* spans on the survivors'
+	// rings (the first rank to revoke records flt.revoke; the rest are
+	// revoked by its flood)...
+	names := map[string]bool{}
+	for r := 0; r < n; r++ {
+		for _, sp := range f.tracer.Ring("E", r).Spans() {
+			names[sp.Name] = true
+		}
 	}
-	for _, k := range []diag.Kind{diag.KindRevoke, diag.KindAgree, diag.KindShrink} {
-		if !kinds[k] {
-			t.Errorf("flight recorder missing %v event", k)
+	for _, name := range []string{"flt.revoke", "flt.agree", "flt.shrink"} {
+		if !names[name] {
+			t.Errorf("no %s span on program E's rings", name)
 		}
 	}
 

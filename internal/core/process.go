@@ -13,7 +13,6 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/match"
 	"repro/internal/obsv"
-	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -288,13 +287,9 @@ func newProcess(p *Program, rank int, d *transport.Dispatcher) (*Process, error)
 	proc.ring = proc.tracer.Ring(p.name, rank)
 	comm.SetInstruments(collective.NewInstruments(p.fw.obs.Registry, p.name))
 	comm.SetTimeout(p.fw.opts.Timeout)
-	if p.board != nil {
-		comm.SetDiag(p.board, p.flight)
-	} else if p.flight != nil {
-		// Flight recording without payload attribution: fault events (revoke,
-		// agree, shrink) still reach the crash-safe ring.
-		comm.SetFlightRecorder(p.flight)
-	}
+	// The fault events (revoke, agree, shrink) reach the process's ring even
+	// without a board, which alone turns on the payload trailer.
+	comm.SetDiag(p.board, proc.ring)
 	return proc, nil
 }
 
@@ -375,7 +370,6 @@ func (p *Process) start() {
 	procLabels := []obsv.Label{obsv.L("program", p.prog.name), obsv.L("rank", strconv.Itoa(p.rank))}
 	if len(expConns) > 0 {
 		p.pool = buffer.NewPool(0)
-		p.pool.SetChecked(fw.opts.CheckedPools)
 		pool := p.pool
 		reg.GaugeFunc("buffer.pool.reuse", func() float64 { return float64(pool.Stats().Hits) }, procLabels...)
 		reg.GaugeFunc("buffer.pool.misses", func() float64 { return float64(pool.Stats().Misses) }, procLabels...)
@@ -865,10 +859,7 @@ func (p *Process) acquirePermit(ec *exportConn) bool {
 		stallNS := clock.Since(start).Nanoseconds()
 		ec.stall.Add(uint64(stallNS))
 		if stallNS > 0 {
-			p.prog.flight.Record(diag.Event{
-				Kind: diag.KindExportStall, Rank: int32(p.rank),
-				A1: stallNS, Note: ec.key,
-			})
+			p.ring.Record(obsv.Span{Name: "flt.export-stall", TS: p.ring.Now() - stallNS, Dur: stallNS, Detail: ec.key})
 		}
 		return true
 	case <-p.abort:

@@ -32,10 +32,8 @@ type Program struct {
 	proto   protoCounters
 	// rec is the program's recovery state (nil unless Options.Recovery).
 	rec *progRecovery
-	// board and flight are the program's straggler board and flight recorder
-	// (nil unless Options.Diag).
-	board  *diag.Board
-	flight *diag.Recorder
+	// board is the program's straggler board (nil unless Options.Diag).
+	board *diag.Board
 
 	errMu    sync.Mutex
 	firstErr error
@@ -49,10 +47,8 @@ func newProgram(f *Framework, pc config.Program) (*Program, error) {
 		regions: make(map[string]regionDef),
 		proto:   newProtoCounters(f.obs.Registry, pc.Name),
 	}
-	if f.opts.Diag {
+	if f.opts.Diag != "" {
 		p.board = diag.NewBoard(pc.Name, pc.Procs)
-		p.flight = diag.NewRecorder(pc.Name, diag.DefaultEvents, f.opts.Clock)
-		p.flight.SetRegistry(f.obs.Registry)
 	}
 	if ro := f.opts.Recovery; ro != nil {
 		rec, err := newProgRecovery(ro, f.obs.Registry, pc.Name)
@@ -172,12 +168,10 @@ func (p *Program) fail(err error) {
 // and the rejoin handshake revives the coupling.
 func (p *Program) peerDown(err *PeerDownError) {
 	p.proto.peerDown.Inc()
-	if p.flight != nil {
-		// A declared-dead peer is exactly the moment the flight recorder
-		// exists for: preserve the last protocol events around the death.
-		p.flight.Record(diag.Event{Kind: diag.KindPeerDown, Rank: -1, Note: err.Peer})
-		p.flight.DumpFile(p.fw.opts.FlightDir, "peer down: "+err.Error())
-	}
+	// A declared-dead peer is exactly the moment the flight dump exists for:
+	// preserve the last protocol events around the death.
+	p.rep.ring.Record(obsv.Span{Name: "flt.peer-down", TS: p.rep.ring.Now(), Detail: err.Peer})
+	p.fw.DumpFlight("peer down: " + err.Error())
 	if p.rec != nil {
 		p.rec.suspends.Inc()
 		return

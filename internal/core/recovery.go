@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/obsv"
-	"repro/internal/obsv/diag"
 	"repro/internal/recover"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -209,10 +208,7 @@ func (p *Program) contributeCkpt(proc *Process, seq uint64, ps recover.ProcState
 		return err
 	}
 	rec.ckptNS.Observe(clock.Since(start).Nanoseconds())
-	p.flight.Record(diag.Event{
-		Kind: diag.KindCheckpoint, Seq: uint32(seq), Rank: int32(proc.rank),
-		A1: int64(seq), A2: int64(rec.epoch),
-	})
+	proc.ring.Record(obsv.Span{Name: "flt.checkpoint", TS: proc.ring.Now(), Arg: int64(seq), Detail: fmt.Sprintf("epoch=%d", rec.epoch)})
 	// Acknowledge to every exporting peer: requests below the checkpointed
 	// import count will never be replayed, so the retained versions answering
 	// them can be freed. (Property 1: the count is identical across ranks.)
@@ -261,9 +257,7 @@ func (r *repRunner) announceRejoin() error {
 			rm.Imports[st.key] = len(st.issued)
 		}
 	}
-	r.prog.flight.Record(diag.Event{
-		Kind: diag.KindRejoin, Rank: -1, A1: int64(rec.epoch), Note: "announce",
-	})
+	r.ring.Record(obsv.Span{Name: "flt.rejoin", TS: r.ring.Now(), Arg: int64(rec.epoch), Detail: "announce"})
 	payload := wire.MustMarshal(rm)
 	for _, peer := range r.prog.fw.peerPrograms(r.prog.name) {
 		err := r.d.Send(transport.Message{
@@ -310,9 +304,7 @@ func (r *repRunner) handleRejoin(m transport.Message) {
 	}
 	r.peerEpochs[peer] = rm.Epoch
 	r.prog.rec.rejoins.Inc()
-	r.prog.flight.Record(diag.Event{
-		Kind: diag.KindRejoin, Rank: -1, A1: int64(rm.Epoch), Note: peer,
-	})
+	r.ring.Record(obsv.Span{Name: "flt.rejoin", TS: r.ring.Now(), Arg: int64(rm.Epoch), Detail: peer})
 	r.fd.reset(peer)
 	resetPeerSessions(r.prog.fw.net, peer, uint32(rm.Epoch))
 	for key, conn := range r.impConns {

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/match"
-	"repro/internal/obsv/diag"
+	"repro/internal/obsv"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -45,12 +45,12 @@ type Checker struct {
 	decided  int
 	firstErr error
 
-	// flightDir/flightRecs: when SetFlight armed them, the first violation
-	// records a KindViolation event in every recorder and dumps them all —
-	// the deterministic world's last protocol events around the bug.
-	flightDir  string
-	flightRecs []*diag.Recorder
-	flightOut  []string
+	// flightDir/flight: when SetFlight armed them, the first violation
+	// records an flt.violation span on every tracer and dumps each — the
+	// deterministic world's last protocol events around the bug.
+	flightDir string
+	flight    []*obsv.Tracer
+	flightOut []string
 }
 
 // NewChecker returns an empty invariant monitor.
@@ -72,21 +72,23 @@ func (c *Checker) Err() error {
 func (c *Checker) fail(format string, args ...any) {
 	if c.firstErr == nil {
 		c.firstErr = fmt.Errorf("dst: invariant violation: "+format, args...)
-		if len(c.flightRecs) > 0 {
-			for _, r := range c.flightRecs {
-				r.Record(diag.Event{Kind: diag.KindViolation, Rank: -1, Note: c.firstErr.Error()})
+		for _, t := range c.flight {
+			r := t.Ring("dst", 0) // the checker's own lane
+			r.Record(obsv.Span{Name: "flt.violation", TS: r.Now(), Detail: c.firstErr.Error()})
+			if path, err := t.DumpFile(c.flightDir, c.firstErr.Error()); err == nil {
+				c.flightOut = append(c.flightOut, path)
 			}
-			c.flightOut, _ = diag.DumpAll(c.flightDir, c.firstErr.Error(), c.flightRecs...)
 		}
 	}
 }
 
 // SetFlight arms crash-safe flight dumps: when the first invariant violation
-// is latched, every recorder gets a KindViolation event and all are dumped
-// to dir ("" = the OS temp directory). FlightDumps returns the files.
-func (c *Checker) SetFlight(dir string, recs ...*diag.Recorder) {
+// is latched, every tracer gets an flt.violation span on its "dst:0" lane and
+// each is dumped to dir ("" = the OS temp directory) as a flight-*.json
+// Chrome trace. FlightDumps returns the files.
+func (c *Checker) SetFlight(dir string, tracers ...*obsv.Tracer) {
 	c.mu.Lock()
-	c.flightDir, c.flightRecs = dir, recs
+	c.flightDir, c.flight = dir, tracers
 	c.mu.Unlock()
 }
 

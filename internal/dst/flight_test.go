@@ -1,29 +1,36 @@
 package dst
 
 import (
-	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/match"
-	"repro/internal/obsv/diag"
+	"repro/internal/obsv"
 	"repro/internal/transport"
+	"repro/internal/vclock"
 	"repro/internal/wire"
 )
 
 // TestCheckerFlightDumpOnViolation arms the invariant checker with two
-// programs' flight recorders, forces a delivery-order violation through the
-// wrapped network (a sequence gap, the reliable-layer bug class the checker
-// exists for), and asserts the violation produced decodable dumps whose
-// merged timeline orders events across both recorders.
+// programs' tracers on one virtual clock, forces a delivery-order violation
+// through the wrapped network (a sequence gap, the reliable-layer bug class
+// the checker exists for), and asserts the violation produced decodable
+// dumps whose merged timeline orders spans across both tracers by virtual
+// time — epochs included, which the spans' own offsets alone get wrong here.
 func TestCheckerFlightDumpOnViolation(t *testing.T) {
 	dir := t.TempDir()
 	chk := NewChecker()
-	rf := diag.NewRecorder("F", 64, nil)
-	ru := diag.NewRecorder("U", 64, nil)
-	rf.Record(diag.Event{Kind: diag.KindMark, Rank: 0, Note: "f-before"})
-	ru.Record(diag.Event{Kind: diag.KindMark, Rank: 0, Note: "u-before"})
-	chk.SetFlight(dir, rf, ru)
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	tf := obsv.NewTracer(64, clk)
+	clk.Advance(time.Millisecond)
+	tu := obsv.NewTracer(64, clk)
+	clk.Advance(time.Millisecond / 2)
+	rf, ru := tf.Ring("F", 0), tu.Ring("U", 0)
+	rf.Record(obsv.Span{Name: "flt.mark", TS: rf.Now(), Detail: "f-before"}) // 1.5 ms after tf's epoch
+	clk.Advance(time.Millisecond / 2)
+	ru.Record(obsv.Span{Name: "flt.mark", TS: ru.Now(), Detail: "u-before"}) // 1 ms after tu's, 0.5 ms later
+	chk.SetFlight(dir, tf, tu)
 
 	net := chk.Wrap(transport.NewMemNetwork())
 	defer net.Close()
@@ -56,9 +63,9 @@ func TestCheckerFlightDumpOnViolation(t *testing.T) {
 	if len(paths) != 2 {
 		t.Fatalf("violation wrote %d dumps, want 2: %v", len(paths), paths)
 	}
-	dumps := make([]*diag.Dump, len(paths))
+	dumps := make([]*obsv.Dump, len(paths))
 	for i, path := range paths {
-		d, err := diag.ReadDump(path)
+		d, err := obsv.ReadDump(path)
 		if err != nil {
 			t.Fatalf("dump %s does not decode: %v", path, err)
 		}
@@ -66,34 +73,25 @@ func TestCheckerFlightDumpOnViolation(t *testing.T) {
 			t.Fatalf("dump reason %q misses the violation", d.Reason)
 		}
 		found := false
-		for _, e := range d.Events {
-			if e.Kind == diag.KindViolation && strings.Contains(e.Note, "seq 3") {
+		for _, sp := range d.Spans {
+			if sp.Name == "flt.violation" && sp.Lane == "dst:0" && strings.Contains(sp.Detail, "seq 3") {
 				found = true
 			}
 		}
 		if !found {
-			t.Fatalf("dump %s has no violation event naming the bad seq", path)
+			t.Fatalf("dump %s has no violation span naming the bad seq", path)
 		}
 		dumps[i] = d
 	}
 
-	// The merged timeline interleaves both programs in time order and
-	// renders their lanes.
-	var out bytes.Buffer
-	if err := diag.WriteTimeline(&out, dumps...); err != nil {
-		t.Fatal(err)
+	// The merged timeline interleaves both programs in virtual-time order.
+	var got []string
+	for _, sp := range obsv.MergeDumps(dumps...) {
+		got = append(got, sp.Lane+" "+sp.Name)
 	}
-	text := out.String()
-	for _, want := range []string{"F:0", "U:0", "f-before", "u-before", "violation"} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("timeline missing %q:\n%s", want, text)
-		}
-	}
-	tl := diag.MergeTimeline(dumps...)
-	for i := 1; i < len(tl); i++ {
-		if tl[i].Event.TS < tl[i-1].Event.TS {
-			t.Fatalf("timeline out of order at %d", i)
-		}
+	want := []string{"F:0 flt.mark", "U:0 flt.mark", "dst:0 flt.violation", "dst:0 flt.violation"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("merged timeline %q, want %q", got, want)
 	}
 }
 

@@ -30,7 +30,7 @@ import (
 // and the whole invariant set — Property-1 conformance (the framework's own
 // violation detection), exact match results against the analytic ground
 // truth, every delivered cell, exactly-once in-order delivery and matcher
-// monotonicity (Checker), buffer-pool ownership (CheckedPools), exactly-once
+// monotonicity (Checker), buffer-pool ownership (PoolViolations), exactly-once
 // transfer accounting, and no false peer-death under the heartbeat. The
 // paper's promise is that the outcome is a function of the export/import
 // history alone, so one workload has one digest in every environment.
@@ -207,13 +207,12 @@ func (p *pass) open(program string, rec *core.RecoveryOptions, epoch uint64) (*c
 		return nil, fmt.Errorf("dst: the reliable layer is not reachable through the checker")
 	}
 	opts := core.Options{
-		Network:      net,
-		BuddyHelp:    true,
-		Timeout:      p.wl.Timeout,
-		Heartbeat:    p.wl.Heartbeat,
-		Recovery:     rec,
-		Clock:        p.env.clock,
-		CheckedPools: true,
+		Network:   net,
+		BuddyHelp: true,
+		Timeout:   p.wl.Timeout,
+		Heartbeat: p.wl.Heartbeat,
+		Recovery:  rec,
+		Clock:     p.env.clock,
 	}
 	var fw *core.Framework
 	var err error

@@ -26,7 +26,7 @@ func (s *Scenario) Lines() []string { return buffer.FigureLines(s.Ring) }
 // newScenario returns a figure's scenario and the REGL manager recording
 // onto its ring.
 func newScenario(figure string, tol float64) (*Scenario, *buffer.Manager, error) {
-	t := obsv.NewTracer(1 << 10)
+	t := obsv.NewTracer(1<<10, nil)
 	sc := &Scenario{Figure: figure, Tracer: t, Ring: t.Ring("F", 0)}
 	m, err := buffer.NewManager(buffer.Config{Policy: match.REGL, Tol: tol, Ring: sc.Ring})
 	return sc, m, err

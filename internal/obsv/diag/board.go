@@ -1,3 +1,13 @@
+// Package diag is the coupling-aware diagnosis layer: it turns the flat
+// latency histograms of the observability layer into an answer to "who was
+// the straggler and where did the time go".
+//
+// The straggler Board accumulates the per-collective critical-path
+// attribution that internal/collective piggybacks on its own round payloads
+// (zero extra messages): for every finished operation each rank learns the
+// blamed rank and its wait/transfer split, and Note()s them here. The
+// protocol's recent events live on the span rings as flt.* spans (package
+// obsv), not here.
 package diag
 
 import (
@@ -26,8 +36,8 @@ import (
 // contention-free: votes gather in a slot ring through atomics (a counter
 // and a max-CAS election word), each rank's transfer aggregate has a single
 // writer, and the board mutex is taken once per operation — by whichever
-// rank first moves a slot to a newer op and commits the finished one — plus
-// by the (rare) snapshot reader.
+// rank first moves a slot to a newer op and commits the finished one, plus
+// by the ranks that race it there — and by the (rare) snapshot reader.
 type Board struct {
 	program string
 	size    int
@@ -91,29 +101,8 @@ func (b *Board) Note(seq uint32, rank, blamed int, maxWait, xferNS int64) {
 		b.perRank[rank].xferNS.Add(xferNS)
 	}
 	s := &b.slots[seq%boardSlots]
-	for {
-		cur := s.seq.Load()
-		if cur == seq {
-			break
-		}
-		if seqBefore(seq, cur) {
-			// A vote for an op the slot has already moved past: the group
-			// skewed by a whole window. Drop it — the op was committed (or
-			// lost) when the slot was reclaimed.
-			return
-		}
-		if s.seq.CompareAndSwap(cur, seq) {
-			// This rank claimed the slot for the new op and owns committing
-			// the finished one. A vote for the new op that slipped in before
-			// the swaps below is erased — a nanoseconds-wide window that
-			// only sheds a single vote of statistics.
-			votes := s.votes.Swap(0)
-			best := s.best.Swap(0)
-			if votes > 0 {
-				b.commit(best)
-			}
-			break
-		}
+	if s.seq.Load() != seq && !b.claim(s, seq) {
+		return
 	}
 	s.votes.Add(1)
 	if blamed >= 0 && blamed < b.size && maxWait > 0 {
@@ -127,9 +116,30 @@ func (b *Board) Note(seq uint32, rank, blamed int, maxWait, xferNS int64) {
 	}
 }
 
-// commit turns a reclaimed slot's election word into one per-op verdict.
-func (b *Board) commit(best uint64) {
+// claim moves slot s to op seq under the board mutex: the finished op's
+// votes are committed, the slot reset, and only then is the new seq
+// published, so a vote for seq lands either in the fresh slot or (waiting on
+// the mutex) after it — never in the finished op's count. It reports false
+// for a vote the slot has already moved past: the group skewed by a whole
+// window, and the op was committed (or lost) when the slot was reclaimed.
+func (b *Board) claim(s *opSlot, seq uint32) bool {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	cur := s.seq.Load()
+	if cur == seq || seqBefore(seq, cur) {
+		return cur == seq // another rank claimed it first, or a stale vote
+	}
+	votes, best := s.votes.Swap(0), s.best.Swap(0)
+	if votes > 0 {
+		b.commit(best)
+	}
+	s.seq.Store(seq)
+	return true
+}
+
+// commit turns a reclaimed slot's election word into one per-op verdict.
+// Called with b.mu held.
+func (b *Board) commit(best uint64) {
 	b.ops++
 	if best != 0 {
 		r := int(uint16(best))
@@ -138,7 +148,6 @@ func (b *Board) commit(best uint64) {
 	} else {
 		b.unattr++
 	}
-	b.mu.Unlock()
 }
 
 // RankStat is one rank's row in a board snapshot.

@@ -4,199 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/obsv"
 )
-
-func TestRecorderDumpRoundTrip(t *testing.T) {
-	reg := obsv.NewRegistry()
-	r := NewRecorder("F", 8, nil)
-	r.SetRegistry(reg)
-	r.SetOpNames([]string{"barrier", "bcast", "reduce", "allreduce"})
-
-	r.Record(Event{Kind: KindCollective, Seq: 1, Op: 3, Rank: 0, A1: 2, A2: 1500})
-	r.Record(Event{Kind: KindExportStall, Rank: 1, A1: 42})
-	r.Record(Event{Kind: KindViolation, Rank: -1, Note: "delivery order violated"})
-
-	dir := t.TempDir()
-	path, err := r.DumpFile(dir, "test dump")
-	if err != nil {
-		t.Fatalf("DumpFile: %v", err)
-	}
-	d, err := ReadDump(path)
-	if err != nil {
-		t.Fatalf("ReadDump: %v", err)
-	}
-	if d.Program != "F" || d.Reason != "test dump" || d.Rank != -1 {
-		t.Fatalf("header mismatch: %+v", d)
-	}
-	if len(d.Events) != 3 {
-		t.Fatalf("got %d events, want 3", len(d.Events))
-	}
-	var coll, viol *Event
-	for i := range d.Events {
-		switch d.Events[i].Kind {
-		case KindCollective:
-			coll = &d.Events[i]
-		case KindViolation:
-			viol = &d.Events[i]
-		}
-	}
-	if coll == nil || coll.Seq != 1 || coll.A1 != 2 || coll.A2 != 1500 || d.OpName(coll.Op) != "allreduce" {
-		t.Fatalf("collective event mismatch: %+v", coll)
-	}
-	if viol == nil || viol.Note != "delivery order violated" || viol.Rank != -1 {
-		t.Fatalf("violation event mismatch: %+v", viol)
-	}
-	if got := reg.Snapshot()["diag.flight.events{program=F}"]; got != 3 {
-		t.Fatalf("diag.flight.events = %v, want 3", got)
-	}
-	if got := reg.Snapshot()["diag.flight.dumps{program=F}"]; got != 1 {
-		t.Fatalf("diag.flight.dumps = %v, want 1", got)
-	}
-}
-
-func TestRecorderRingWraps(t *testing.T) {
-	r := NewRecorder("F", 4, nil)
-	for i := 0; i < 10; i++ {
-		r.Record(Event{Kind: KindMark, Seq: uint32(i)})
-	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	events := r.Snapshot()
-	if len(events) != 4 {
-		t.Fatalf("snapshot holds %d, want 4", len(events))
-	}
-	for _, e := range events {
-		if e.Seq < 6 {
-			t.Fatalf("old event %d survived the wrap", e.Seq)
-		}
-	}
-}
-
-func TestRecorderConcurrentRecord(t *testing.T) {
-	r := NewRecorder("F", 64, nil)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				r.Record(Event{Kind: KindMark, Rank: int32(g), Seq: uint32(i)})
-			}
-		}(g)
-	}
-	wg.Wait()
-	if r.Len() != 64 {
-		t.Fatalf("Len = %d, want full ring", r.Len())
-	}
-}
-
-func TestNilRecorderSafe(t *testing.T) {
-	var r *Recorder
-	r.Record(Event{Kind: KindMark})
-	r.SetRegistry(obsv.NewRegistry())
-	if r.Len() != 0 || r.Snapshot() != nil {
-		t.Fatal("nil recorder not inert")
-	}
-	if err := r.Dump(&bytes.Buffer{}, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if r.Clock() == nil {
-		t.Fatal("nil recorder clock")
-	}
-}
-
-func TestDecodeDumpRejectsGarbage(t *testing.T) {
-	if _, err := DecodeDump([]byte("not a dump at all")); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-	r := NewRecorder("F", 4, nil)
-	r.Record(Event{Kind: KindMark, Note: "hello"})
-	var buf bytes.Buffer
-	if err := r.Dump(&buf, "trunc"); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	for cut := len(dumpMagic); cut < len(full); cut += 7 {
-		if _, err := DecodeDump(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-}
-
-func TestMergeTimelineOrdersAcrossDumps(t *testing.T) {
-	a := &Dump{Program: "A", KindNames: kindNames[:], Events: []Event{
-		{TS: 30, Kind: KindMark, Rank: 0, Note: "a-late"},
-		{TS: 10, Kind: KindMark, Rank: 0, Note: "a-early"},
-	}}
-	b := &Dump{Program: "B", KindNames: kindNames[:], Events: []Event{
-		{TS: 20, Kind: KindMark, Rank: 1, Note: "b-mid"},
-	}}
-	sortEvents(a.Events)
-	tl := MergeTimeline(a, b)
-	if len(tl) != 3 {
-		t.Fatalf("merged %d entries, want 3", len(tl))
-	}
-	got := []string{tl[0].Event.Note, tl[1].Event.Note, tl[2].Event.Note}
-	want := []string{"a-early", "b-mid", "a-late"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("timeline order %v, want %v", got, want)
-		}
-	}
-	var out bytes.Buffer
-	if err := WriteTimeline(&out, a, b); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "A:0") || !strings.Contains(s, "B:1") || !strings.Contains(s, "b-mid") {
-		t.Fatalf("timeline rendering missing lanes:\n%s", s)
-	}
-}
-
-func TestDumpOnPanicWritesFileAndRepanics(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRecorder("F", 8, nil)
-	r.Record(Event{Kind: KindMark, Note: "before the fall"})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic swallowed")
-			}
-		}()
-		func() {
-			defer DumpOnPanic(dir, r)
-			panic("boom")
-		}()
-	}()
-	matches, _ := filepath.Glob(filepath.Join(dir, "flight-F-*.cpfl"))
-	if len(matches) != 1 {
-		t.Fatalf("want 1 dump file, got %v", matches)
-	}
-	d, err := ReadDump(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(d.Reason, "panic: boom") {
-		t.Fatalf("reason %q", d.Reason)
-	}
-	found := false
-	for _, e := range d.Events {
-		if e.Kind == KindPanic && e.Note == "boom" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("panic event missing from dump")
-	}
-}
 
 func TestBoardAttributionAndHandler(t *testing.T) {
 	b := NewBoard("F", 4)
@@ -252,15 +63,34 @@ func TestBoardAttributionAndHandler(t *testing.T) {
 	}
 }
 
-func TestDumpAllSkipsNil(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRecorder("G", 4, nil)
-	r.Record(Event{Kind: KindMark})
-	paths, err := DumpAll(dir, "because", nil, r, nil)
-	if err != nil || len(paths) != 1 {
-		t.Fatalf("paths=%v err=%v", paths, err)
+// TestBoardCountsEachOpOnce: ranks racing to claim a slot for the same op
+// must commit it once. A vote that slipped in between another rank's claim
+// and its reset was once committed as a finished op the slot never held, and
+// the op's remaining votes were counted again by Snapshot: 41 ops for 40.
+func TestBoardCountsEachOpOnce(t *testing.T) {
+	const ranks, ops = 8, 40
+	rounds := 3000
+	if testing.Short() {
+		rounds = 300
 	}
-	if _, err := os.Stat(paths[0]); err != nil {
-		t.Fatal(err)
+	for round := 0; round < rounds; round++ {
+		b := NewBoard("G", ranks)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < ranks; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				for seq := uint32(0); seq < ops; seq++ {
+					b.Note(seq, r, 1, 1000, 0)
+				}
+			}(r)
+		}
+		close(start)
+		wg.Wait()
+		if s := b.Snapshot(); s.Ops != ops {
+			t.Fatalf("round %d: ops = %d, want %d", round, s.Ops, ops)
+		}
 	}
 }

@@ -12,8 +12,6 @@ type Config struct {
 	// Tracing enables span recording and trace-ID piggybacking on the wire.
 	// When false the Tracer is nil and the hot path pays one nil check.
 	Tracing bool
-	// RingSize is the per-process span capacity (0 = DefaultRingSize).
-	RingSize int
 }
 
 // Observer bundles the metrics registry, the (optional) span tracer, and
@@ -28,8 +26,8 @@ type Observer struct {
 	handlers map[string]http.Handler
 }
 
-// New returns an Observer with a fresh registry, plus a tracer when
-// cfg.Tracing is set.
+// New returns an Observer with a fresh registry, plus a wall-clock tracer
+// when cfg.Tracing is set.
 func New(cfg Config) *Observer {
 	o := &Observer{
 		Registry: NewRegistry(),
@@ -37,7 +35,7 @@ func New(cfg Config) *Observer {
 		handlers: make(map[string]http.Handler),
 	}
 	if cfg.Tracing {
-		o.Tracer = NewTracer(cfg.RingSize)
+		o.Tracer = NewTracer(0, nil)
 	}
 	return o
 }

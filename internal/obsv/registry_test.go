@@ -87,7 +87,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 // TestUntracedInstrumentsZeroAlloc prices the default production path of the
 // data plane: the per-job instrument sequence of core's dispatchLocked and
 // sender (counters, a peak gauge, and a span record on the nil ring a
-// disabled tracer hands out) must not allocate.
+// disabled tracer hands out) must not allocate — nor may a flight event
+// (an flt.* span) recorded with tracing and Diag off.
 func TestUntracedInstrumentsZeroAlloc(t *testing.T) {
 	reg := NewRegistry()
 	l := L("conn", "F.f>U.f")
@@ -106,6 +107,7 @@ func TestUntracedInstrumentsZeroAlloc(t *testing.T) {
 		sends.Inc()
 		flushes.Inc()
 		ring.Record(Span{Name: "send", TS: tracer.Now(), Dur: 1, Flow: uint64(i + 1), Arg: int64(i)})
+		ring.Record(Span{Name: "flt.export-stall", TS: ring.Now() - 1, Dur: 1, Detail: "F.f>U.f"})
 		i++
 	})
 	if allocs != 0 {

@@ -27,7 +27,7 @@ func get(t *testing.T, url string) (int, string) {
 func TestServerEndpoints(t *testing.T) {
 	defer testutil.CheckGoroutines(t)()
 
-	obs := obsv.New(obsv.Config{Tracing: true, RingSize: 64})
+	obs := obsv.New(obsv.Config{Tracing: true})
 	obs.Registry.Counter("core.export.skips", obsv.L("program", "F")).Add(2)
 	ring := obs.Tracer.Ring("F", 0)
 	ring.Record(obsv.Span{Name: "export", TS: 10, Dur: 5, Flow: obs.Tracer.NewSpanID()})

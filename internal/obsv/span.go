@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/vclock"
 )
 
 // Span is one recorded protocol operation: an export decision, an import
@@ -28,22 +30,22 @@ type Span struct {
 // pointer store; the reader (trace export) loads pointers atomically, so a
 // live run can be dumped without stopping the world and without racing.
 type Ring struct {
-	proc  string    // lane name, e.g. "F:2" or "U:rep"
-	pid   int       // Chrome trace pid (per program)
-	tid   int       // Chrome trace tid (rank+2; rep is 1)
-	epoch time.Time // the owning tracer's epoch (see Now)
+	proc  string  // lane name, e.g. "F:2" or "U:rep"
+	pid   int     // Chrome trace pid (per program)
+	tid   int     // Chrome trace tid (rank+2; rep is 1)
+	t     *Tracer // the owner, whose clock and epoch Now reads
 	next  atomic.Uint64
 	slots []atomic.Pointer[Span]
 }
 
-// Now returns nanoseconds since the owning tracer's epoch (0 on a nil ring):
-// the time base of every span on the ring, for recorders that hold only
-// the ring.
+// Now returns nanoseconds since the owning tracer's epoch on its clock (0 on
+// a nil ring): the time base of every span on the ring, for recorders that
+// hold only the ring.
 func (r *Ring) Now() int64 {
 	if r == nil {
 		return 0
 	}
-	return int64(time.Since(r.epoch))
+	return r.t.Now()
 }
 
 // Record appends a span to the ring, overwriting the oldest entry once the
@@ -79,13 +81,14 @@ func (r *Ring) Spans() []Span {
 	return out
 }
 
-// DefaultRingSize is the per-process span capacity when the tracer's
-// configuration leaves it zero.
-const DefaultRingSize = 1 << 14
+// DefaultRingSpans is the per-process span capacity when NewTracer is given
+// zero.
+const DefaultRingSpans = 1 << 14
 
 // Tracer owns the process lanes and mints trace IDs. A nil *Tracer is the
 // disabled state: every method no-ops, so the hot path pays one nil check.
 type Tracer struct {
+	clock    vclock.Clock
 	epoch    time.Time
 	ringSize int
 	nextID   atomic.Uint64
@@ -96,12 +99,15 @@ type Tracer struct {
 }
 
 // NewTracer returns an enabled tracer whose rings hold ringSize spans each
-// (0 means DefaultRingSize).
-func NewTracer(ringSize int) *Tracer {
+// (0 means DefaultRingSpans), stamping spans on clock (nil = wall time) —
+// pass the framework clock, so spans under the virtual clock carry simulated
+// time and dumps from several tracers on one clock merge in order.
+func NewTracer(ringSize int, clock vclock.Clock) *Tracer {
 	if ringSize <= 0 {
-		ringSize = DefaultRingSize
+		ringSize = DefaultRingSpans
 	}
-	t := &Tracer{epoch: time.Now(), ringSize: ringSize, pids: make(map[string]int)}
+	clock = vclock.Or(clock)
+	t := &Tracer{clock: clock, epoch: clock.Now(), ringSize: ringSize, pids: make(map[string]int)}
 	// Seed so IDs from independent runs in one process rarely collide with
 	// zero (0 means "no trace" on the wire).
 	t.nextID.Store(1)
@@ -119,12 +125,13 @@ func (t *Tracer) NewSpanID() uint64 {
 	return t.nextID.Add(1)
 }
 
-// Now returns nanoseconds since the tracer epoch (0 when disabled).
+// Now returns nanoseconds since the tracer epoch on its clock (0 when
+// disabled).
 func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(time.Since(t.epoch))
+	return int64(t.clock.Since(t.epoch))
 }
 
 // Ring returns (creating on first use) the span lane for a process. The
@@ -153,7 +160,7 @@ func (t *Tracer) Ring(program string, rank int) *Ring {
 		pid = len(t.pids) + 1
 		t.pids[program] = pid
 	}
-	r := &Ring{proc: proc, pid: pid, tid: tid, epoch: t.epoch, slots: make([]atomic.Pointer[Span], t.ringSize)}
+	r := &Ring{proc: proc, pid: pid, tid: tid, t: t, slots: make([]atomic.Pointer[Span], t.ringSize)}
 	t.rings = append(t.rings, r)
 	return r
 }
@@ -173,11 +180,26 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
+// chromeTrace is the whole JSON document. otherData carries what a reader
+// needs to merge traces from several tracers: the epoch, in Unix nanoseconds
+// on the tracer's clock, and (for a flight dump) why it was written.
+type chromeTrace struct {
+	TraceEvents []chromeEvent `json:"traceEvents"`
+	OtherData   traceMeta     `json:"otherData"`
+}
+
+type traceMeta struct {
+	EpochNS int64  `json:"epoch_unix_ns"`
+	Reason  string `json:"reason,omitempty"`
+}
+
 // WriteChromeTrace dumps every ring as Chrome trace_event JSON: "M"
 // metadata events naming the process/thread lanes, "X" complete events for
 // the spans, and "s"/"t"/"f" flow events stitching spans that share a Flow
 // ID into cross-process arrows (exporter decision → importer receipt).
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+func (t *Tracer) WriteChromeTrace(w io.Writer) error { return t.writeTrace(w, "") }
+
+func (t *Tracer) writeTrace(w io.Writer, reason string) error {
 	if t == nil {
 		_, err := io.WriteString(w, `{"traceEvents":[]}`)
 		return err
@@ -190,7 +212,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	t.mu.Unlock()
 
-	var events []chromeEvent
+	events := []chromeEvent{}
 	for prog, pid := range pids {
 		events = append(events, chromeEvent{
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
@@ -260,6 +282,5 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			})
 		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(map[string]any{"traceEvents": events})
+	return json.NewEncoder(w).Encode(chromeTrace{events, traceMeta{t.epoch.UnixNano(), reason}})
 }

@@ -30,10 +30,13 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if !strings.Contains(b.String(), "traceEvents") {
 		t.Fatalf("disabled trace output malformed: %s", b.String())
 	}
+	if path, err := tr.DumpFile(t.TempDir(), "x"); path != "" || err != nil {
+		t.Fatalf("nil tracer DumpFile = %q, %v; want no file", path, err)
+	}
 }
 
 func TestRingWraps(t *testing.T) {
-	tr := NewTracer(4)
+	tr := NewTracer(4, nil)
 	r := tr.Ring("F", 0)
 	for i := 0; i < 10; i++ {
 		r.Record(Span{Name: "op", TS: int64(i)})
@@ -52,7 +55,7 @@ func TestRingWraps(t *testing.T) {
 // on the virtual clock — come out in record order after the ring wraps,
 // oldest retained record first, not rotated at the wrap point.
 func TestRingSpansRecordOrderAcrossWrap(t *testing.T) {
-	r := NewTracer(8).Ring("F", 0)
+	r := NewTracer(8, nil).Ring("F", 0)
 	for i := 0; i < 12; i++ {
 		r.Record(Span{Name: "op", TS: 42, Arg: int64(i)})
 	}
@@ -69,7 +72,7 @@ func TestRingSpansRecordOrderAcrossWrap(t *testing.T) {
 
 // TestRingSpansSnapshot: Spans returns a copy that later records do not grow.
 func TestRingSpansSnapshot(t *testing.T) {
-	r := NewTracer(8).Ring("F", 0)
+	r := NewTracer(8, nil).Ring("F", 0)
 	r.Record(Span{Name: "op", TS: 1})
 	spans := r.Spans()
 	r.Record(Span{Name: "op", TS: 2})
@@ -82,7 +85,7 @@ func TestRingSpansSnapshot(t *testing.T) {
 }
 
 func TestRingLanesAndIDs(t *testing.T) {
-	tr := NewTracer(16)
+	tr := NewTracer(16, nil)
 	a := tr.Ring("F", 0)
 	b := tr.Ring("F", 0)
 	if a != b {
@@ -109,7 +112,7 @@ func TestRingLanesAndIDs(t *testing.T) {
 // metadata, complete, and flow events Perfetto needs for cross-process
 // arrows.
 func TestChromeTraceShape(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracer(64, nil)
 	exp := tr.Ring("F", 0)
 	imp := tr.Ring("U", 1)
 	flow := tr.NewSpanID()
@@ -156,7 +159,7 @@ func TestChromeTraceShape(t *testing.T) {
 // TestRingConcurrentRecordAndDump exercises writers racing the trace dump;
 // run with -race this proves the ring is data-race free.
 func TestRingConcurrentRecordAndDump(t *testing.T) {
-	tr := NewTracer(128)
+	tr := NewTracer(128, nil)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -179,7 +182,23 @@ func TestRingConcurrentRecordAndDump(t *testing.T) {
 		if err := tr.WriteChromeTrace(&b); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := decodeDump([]byte(b.String())); err != nil {
+			t.Fatalf("a dump taken under live writers does not decode: %v", err)
+		}
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRingRecordCost pins what a traced record costs: one allocation, the
+// copy of the span the slot points to (the untraced path is free; see
+// TestUntracedInstrumentsZeroAlloc).
+func TestRingRecordCost(t *testing.T) {
+	r := NewTracer(64, nil).Ring("F", 0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		r.Record(Span{Name: "flt.export-stall", TS: r.Now(), Dur: 1, Detail: "F.f>U.f"})
+	})
+	if allocs > 1 {
+		t.Fatalf("traced Ring.Record allocates %.1f times, want at most 1", allocs)
+	}
 }
