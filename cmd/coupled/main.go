@@ -85,7 +85,7 @@ func main() {
 		traceOut = flag.String("trace-out", "",
 			"write the recorded span trace as Chrome trace JSON to this file on exit (implies -obsv-trace)")
 		diagDir = flag.String("diag", "",
-			"enable coupling-aware diagnosis, dumping flight traces to this directory: per-collective "+
+			"enable coupling-aware diagnosis, dumping flight traces to this directory: per-request "+
 				"straggler attribution (/diag/stragglers, statusz diag: section) and flt.* flight events "+
 				"on the span rings, written as flight-*.json on peer death or SIGQUIT (implies -obsv-trace)")
 	)

@@ -67,16 +67,16 @@ func (c *Comm) bcast(seq uint32, root int, data []byte) ([]byte, Algo, error) {
 	if err != nil {
 		return nil, Binomial, err
 	}
-	if len(p0) < c.hlen+bcastPrefixLen {
+	if len(p0) < hdrLen+bcastPrefixLen {
 		return nil, Binomial, fmt.Errorf("collective: bcast segment 0 payload %d bytes", len(p0))
 	}
-	t.total = int(binary.LittleEndian.Uint32(p0[c.hlen:]))
-	t.segSize = int(binary.LittleEndian.Uint32(p0[c.hlen+4:]))
+	t.total = int(binary.LittleEndian.Uint32(p0[hdrLen:]))
+	t.segSize = int(binary.LittleEndian.Uint32(p0[hdrLen+4:]))
 	nseg, algo := segments(t.total, t.segSize)
 
 	out := make([]byte, t.total)
 	for s, p := 0, p0; ; {
-		body := p[c.hlen:]
+		body := p[hdrLen:]
 		if s == 0 {
 			body = body[bcastPrefixLen:]
 		}
@@ -130,24 +130,15 @@ func (c *Comm) bcastRoot(t bcastTree, data []byte) (Algo, error) {
 // body. On an owning Comm every child recycles what it receives, so each
 // gets a frame of its own: the first the received one, handed on, the
 // others pooled ones built from src; a leaf recycles. Otherwise one frame
-// serves every child. With diagnosis on a forwarded frame carries this hop's
-// fold word and send time — stamped in place when the frame is ours alone,
-// on a copy when the transport may still hold it (a retransmit buffer).
+// serves every child.
 func (c *Comm) bcastDown(t bcastTree, s int, frame, src []byte) error {
-	restamp := frame != nil && c.diagEnabled()
 	for m := t.mask >> 1; m > 0; m >>= 1 {
 		if t.rel+m >= c.size {
 			continue
 		}
 		if frame == nil {
 			frame = c.bcastFrame(t, s, src)
-		} else if restamp {
-			if c.pool == nil {
-				frame = copyBytes(frame)
-			}
-			c.stamp(frame)
 		}
-		restamp = false
 		if err := c.sendRaw((t.rel+m+t.root)%c.size, opBcast, frame); err != nil {
 			return err
 		}
@@ -165,13 +156,13 @@ func (c *Comm) bcastFrame(t bcastTree, s int, payload []byte) []byte {
 	body := payload[lo:min(lo+t.segSize, t.total)]
 	if s > 0 {
 		p := c.frame(c.hdr(t.seq, s, opBcast), len(body))
-		copy(p[c.hlen:], body)
+		copy(p[hdrLen:], body)
 		return p
 	}
 	p := c.frame(c.hdr(t.seq, 0, opBcast), bcastPrefixLen+len(body))
-	binary.LittleEndian.PutUint32(p[c.hlen:], uint32(t.total))
-	binary.LittleEndian.PutUint32(p[c.hlen+4:], uint32(t.segSize))
-	copy(p[c.hlen+bcastPrefixLen:], body)
+	binary.LittleEndian.PutUint32(p[hdrLen:], uint32(t.total))
+	binary.LittleEndian.PutUint32(p[hdrLen+4:], uint32(t.segSize))
+	copy(p[hdrLen+bcastPrefixLen:], body)
 	return p
 }
 

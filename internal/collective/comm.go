@@ -27,7 +27,6 @@ import (
 
 	"repro/internal/buffer"
 	"repro/internal/obsv"
-	"repro/internal/obsv/diag"
 	"repro/internal/transport"
 	"repro/internal/vclock"
 	"repro/internal/wire"
@@ -101,15 +100,9 @@ type Comm struct {
 
 	ins *Instruments
 
-	// Diagnosis state (see diag.go). hlen is the per-payload prefix length:
-	// hdrLen normally, hdrLen+trailerLen when critical-path attribution is
-	// on and every payload carries the piggybacked fold trailer. ring is the
-	// process's span lane, where the flt.* flight events go (nil = none).
-	hlen   int
-	board  *diag.Board
-	ring   *obsv.Ring
-	dclk   vclock.Clock
-	dstate diagState
+	// ring is the process's span lane, where the fault events go as flt.*
+	// spans (nil = none).
+	ring *obsv.Ring
 }
 
 // New returns the Comm for rank within a size-process group named program.
@@ -125,7 +118,6 @@ func New(d *transport.Dispatcher, program string, rank, size int) (*Comm, error)
 		d: d, program: program, rank: rank, size: size,
 		timeout:    DefaultTimeout,
 		table:      DefaultTable(),
-		hlen:       hdrLen,
 		pendingCap: defaultPendingCap,
 		pending:    newPending(size, defaultPendingCap),
 	}
@@ -163,6 +155,11 @@ func (c *Comm) syncPool() {
 	c.ins.pooled(s.Hits-c.seen.Hits, s.Misses-c.seen.Misses, s.Held-c.seen.Held)
 	c.seen = s
 }
+
+// SetRing attaches the span lane the fault events — revoke, agree, shrink —
+// are recorded on as flt.* spans (nil detaches). It changes nothing on the
+// wire, so ranks may attach independently.
+func (c *Comm) SetRing(ring *obsv.Ring) { c.ring = ring }
 
 // Instruments returns the attached instruments (possibly nil).
 func (c *Comm) Instruments() *Instruments { return c.ins }
@@ -224,8 +221,8 @@ func (c *Comm) deadline() <-chan time.Time {
 }
 
 // run is the one entry path of every collective: it refuses a revoked Comm,
-// takes the operation's sequence number, runs body and, on success, flushes
-// the straggler attribution and observes the latency under (op, *algo).
+// takes the operation's sequence number, runs body and, on success, observes
+// the latency under (op, *algo).
 // Every rank executes the same collective sequence, so the per-Comm counter
 // alone identifies the operation instance on all ranks; it advances before
 // body can reject an argument, so a rank that rejects stays aligned with
@@ -241,14 +238,8 @@ func (c *Comm) run(op opID, algo *Algo, body func(seq uint32) error) error {
 		start = time.Now()
 	}
 	c.opSeq++
-	if c.diagEnabled() {
-		c.dstate = diagState{active: true, maxRank: -1}
-	}
 	if err := body(c.opSeq); err != nil {
 		return err
-	}
-	if c.dstate.active {
-		c.diagEnd(op)
 	}
 	if c.ins != nil {
 		c.ins.observe(op, *algo, time.Since(start).Nanoseconds())
@@ -277,27 +268,24 @@ func (c *Comm) sendRaw(to int, op opID, payload []byte) error {
 	return err
 }
 
-// frame returns a wire buffer for n body bytes, header h and trailer written.
+// frame returns a wire buffer for n body bytes with header h written.
 func (c *Comm) frame(h uint64, n int) []byte {
-	b := c.pool.Get(c.hlen + n)
+	b := c.pool.Get(hdrLen + n)
 	putHdr(b, h)
-	if c.hlen != hdrLen {
-		c.stamp(b)
-	}
 	return b
 }
 
 // sendBytes sends header h followed by body.
 func (c *Comm) sendBytes(to int, op opID, h uint64, body []byte) error {
 	b := c.frame(h, len(body))
-	copy(b[c.hlen:], body)
+	copy(b[hdrLen:], body)
 	return c.sendRaw(to, op, b)
 }
 
 // sendFloats sends header h followed by the flat float64 encoding of vals.
 func (c *Comm) sendFloats(to int, op opID, h uint64, vals []float64) error {
 	b := c.frame(h, wire.Float64sSize(len(vals)))
-	wire.AppendFloat64s(b[:c.hlen], vals)
+	wire.AppendFloat64s(b[:hdrLen], vals)
 	return c.sendRaw(to, op, b)
 }
 
@@ -324,17 +312,8 @@ func (c *Comm) recv(from int, op opID, h uint64) ([]byte, error) {
 		if m.Src == src && m.Tag == tag && matchHdr(m.Payload, h) {
 			p := m.Payload
 			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			if c.hlen != hdrLen {
-				// The payload arrived while this rank was posted on some
-				// other receive: no wait measurement, fold word only.
-				c.diagFold(from, p, false, 0, 0)
-			}
 			return p, nil
 		}
-	}
-	var postNS int64
-	if c.hlen != hdrLen {
-		postNS = c.nowNS()
 	}
 	for {
 		m, err := c.d.RecvDeadline(transport.KindCollective, c.deadline())
@@ -350,9 +329,6 @@ func (c *Comm) recv(from int, op opID, h uint64) ([]byte, error) {
 				c.addr(c.rank), src, tag, h>>32, uint16(h>>16), err)
 		}
 		if m.Src == src && m.Tag == tag && matchHdr(m.Payload, h) {
-			if c.hlen != hdrLen {
-				c.diagFold(from, m.Payload, true, postNS, c.nowNS())
-			}
 			return m.Payload, nil
 		}
 		switch d := epochDelta(m.Payload, c.epoch); {
@@ -380,7 +356,7 @@ func (c *Comm) recvInto(from int, op opID, h uint64, dst []float64) error {
 	if err != nil {
 		return err
 	}
-	if err := wire.DecodeFloat64sInto(p[c.hlen:], dst); err != nil {
+	if err := wire.DecodeFloat64sInto(p[hdrLen:], dst); err != nil {
 		return fmt.Errorf("collective: %s from rank %d: %w", opTags[op], from, err)
 	}
 	c.pool.Put(p)

@@ -687,7 +687,7 @@ func (c *Comm) agree(seq uint32, mask rankSet) error {
 // re-ranked densely preserving order, and the group epoch is bumped so
 // frames from the old group can never match. The parent Comm is poisoned
 // (all further operations return ErrRevoked); buffers, dispatch table,
-// instruments and diagnosis wiring carry over, as do parked frames already
+// instruments and span ring carry over, as do parked frames already
 // belonging to the successor epoch. An empty failed set is legal and
 // rebuilds the group in place — useful after a spurious revocation, since
 // the epoch bump discards any interrupted operation's traffic.
@@ -724,7 +724,7 @@ func (c *Comm) Shrink(failed []int) (*Comm, error) {
 		epoch: c.epoch + 1, peers: newPeers,
 		pendingCap: c.pendingCap, pending: newPending(len(newPeers), c.pendingCap),
 		pool: c.pool, seen: c.seen, fscratch: c.fscratch,
-		ins: c.ins, hlen: c.hlen, board: c.board, ring: c.ring, dclk: c.dclk,
+		ins: c.ins, ring: c.ring,
 		timer: c.timer, clk: c.clk, armedAt: c.armedAt,
 	}
 	// Carry parked frames that already belong to the successor (or a later)

@@ -870,15 +870,14 @@ func TestShrunkSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // TestFlightRecorderFTEvents: revoke, agree and shrink leave flt.* spans on
-// each survivor's ring (attached without a board: no trailer) and the
-// failure counters reach /statusz.
+// each survivor's ring and the failure counters reach /statusz.
 func TestFlightRecorderFTEvents(t *testing.T) {
 	const n, dead = 3, 2
 	_, comms, disps := ftGroup(t, n, time.Second)
 	reg := obsv.NewRegistry()
 	tracer := obsv.NewTracer(64, nil)
 	for r := 0; r < n; r++ {
-		comms[r].SetDiag(nil, tracer.Ring("G", r))
+		comms[r].SetRing(tracer.Ring("G", r))
 		comms[r].SetInstruments(NewInstruments(reg, "G"))
 	}
 	disps[dead].Close()

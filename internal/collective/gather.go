@@ -41,9 +41,9 @@ func (c *Comm) recvParts(op opID, h uint64, out [][]byte, mine []byte) error {
 // part capped at its length, and the frames are recycled.
 func (c *Comm) own(frames [][]byte, mine []byte) {
 	frames[c.rank] = mine
-	total := c.hlen // mine has no header
+	total := hdrLen // mine has no header
 	for _, p := range frames {
-		total += len(p) - c.hlen
+		total += len(p) - hdrLen
 	}
 	all := make([]byte, 0, total)
 	for r, p := range frames {
@@ -51,7 +51,7 @@ func (c *Comm) own(frames [][]byte, mine []byte) {
 		if r == c.rank {
 			all = append(all, p...)
 		} else {
-			all = append(all, p[c.hlen:]...)
+			all = append(all, p[hdrLen:]...)
 			c.pool.Put(p)
 		}
 		frames[r] = all[off:len(all):len(all)]
@@ -97,7 +97,7 @@ func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
 			if err != nil {
 				return err
 			}
-			out = copyBytes(p[c.hlen:])
+			out = copyBytes(p[hdrLen:])
 			c.pool.Put(p)
 			return nil
 		}
@@ -153,7 +153,7 @@ func (c *Comm) allGatherRing(seq uint32, part []byte, out [][]byte) error {
 			return err
 		}
 		out[(c.rank-s-1+c.size)%c.size] = p
-		block = p[c.hlen:]
+		block = p[hdrLen:]
 	}
 	c.own(out, part)
 	return nil

@@ -32,15 +32,10 @@ var opAlgoPairs = []struct {
 }
 
 // Instruments holds the per-operation, per-algorithm latency histograms
-// (instrument names "collective.<op>.<algo>.ns", labeled by program) plus,
-// per operation, the straggler-attribution instruments
-// "collective.<op>.straggler.{wait_ns,xfer_ns,rank}" diagnosis feeds. A nil
+// (instrument names "collective.<op>.<algo>.ns", labeled by program). A nil
 // *Instruments is a no-op, so uninstrumented Comms pay one nil check.
 type Instruments struct {
-	hist      [numOps][numAlgos]*obsv.Histogram
-	stragWait [numOps]*obsv.Histogram
-	stragXfer [numOps]*obsv.Histogram
-	stragRank [numOps]*obsv.Gauge
+	hist [numOps][numAlgos]*obsv.Histogram
 
 	// Fault-tolerance counters ("collective.failures.<name>"): the suspect →
 	// agree → revoke → shrink pipeline plus the pending-list hygiene
@@ -104,13 +99,6 @@ func NewInstruments(reg *obsv.Registry, program string) *Instruments {
 		name := "collective." + opTags[p.op] + "." + p.algo.String() + ".ns"
 		ins.hist[p.op][p.algo] = reg.Histogram(name, obsv.L("program", program))
 	}
-	for op := 0; op < numOps; op++ {
-		base := "collective." + opTags[op] + ".straggler."
-		ins.stragWait[op] = reg.Histogram(base+"wait_ns", obsv.L("program", program))
-		ins.stragXfer[op] = reg.Histogram(base+"xfer_ns", obsv.L("program", program))
-		ins.stragRank[op] = reg.Gauge(base+"rank", obsv.L("program", program))
-		ins.stragRank[op].Set(-1)
-	}
 	for i, name := range failureCtrNames {
 		ins.failures[i] = reg.Counter("collective.failures."+name, obsv.L("program", program))
 	}
@@ -127,31 +115,9 @@ func (ins *Instruments) observe(op opID, algo Algo, ns int64) {
 	ins.hist[op][algo].Observe(ns)
 }
 
-// observeStraggler records one finished operation's attribution: the
-// observing rank's wait/transfer split and, when somebody was blamed, the
-// latest straggler rank.
-func (ins *Instruments) observeStraggler(op opID, blamed int, waitNS, xferNS int64) {
-	if ins == nil {
-		return
-	}
-	ins.stragWait[op].Observe(waitNS)
-	ins.stragXfer[op].Observe(xferNS)
-	if blamed >= 0 {
-		ins.stragRank[op].Set(int64(blamed))
-	}
-}
-
-// quantiles renders a histogram's p50/p95/p99 for status lines.
-func quantiles(h *obsv.Histogram) string {
-	return fmt.Sprintf("p50=%v p95=%v p99=%v",
-		time.Duration(h.Quantile(0.50)),
-		time.Duration(h.Quantile(0.95)),
-		time.Duration(h.Quantile(0.99)))
-}
-
 // WriteStatus renders one line per (op, algo) pair that has observations —
 // count, mean and p50/p95/p99 latency — for the /statusz collectives
-// section, followed by straggler wait quantiles for diagnosed operations.
+// section, followed by the nonzero failure counters.
 func (ins *Instruments) WriteStatus(w io.Writer) {
 	if ins == nil {
 		return
@@ -163,16 +129,8 @@ func (ins *Instruments) WriteStatus(w io.Writer) {
 			continue
 		}
 		mean := time.Duration(h.Sum() / int64(n))
-		fmt.Fprintf(w, "    %s.%s: n=%d mean=%v %s\n", opTags[p.op], p.algo, n, mean, quantiles(h))
-	}
-	for op := 0; op < numOps; op++ {
-		h := ins.stragWait[op]
-		n := h.Count()
-		if n == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "    %s.straggler: n=%d rank=%d wait %s\n",
-			opTags[op], n, ins.stragRank[op].Load(), quantiles(h))
+		fmt.Fprintf(w, "    %s.%s: n=%d mean=%v p50=%v p95=%v p99=%v\n", opTags[p.op], p.algo, n, mean,
+			time.Duration(h.Quantile(0.50)), time.Duration(h.Quantile(0.95)), time.Duration(h.Quantile(0.99)))
 	}
 	line := ""
 	for i, name := range failureCtrNames {

@@ -23,6 +23,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/buffer"
 	"repro/internal/config"
 	"repro/internal/decomp"
 	"repro/internal/obsv"
@@ -94,17 +95,16 @@ type Options struct {
 	// Options.Network take their own clocks via their configs.
 	Clock vclock.Clock
 	// Diag enables coupling-aware diagnosis and names the directory flight
-	// dumps are written to ("" = off). Every hosted program gets a straggler
-	// board fed by per-collective critical-path attribution (collective
-	// payloads grow a 16-byte trailer; see package collective), surfaced as
-	// the collective.<op>.straggler.* instruments, the /diag/stragglers
-	// endpoint and a diag: block in /statusz. Diag implies tracing: without
-	// a Tracer on Obsv the framework builds one on Clock, so the flt.* flight
-	// events — and with them the timing spans, the fig.* lines and trace IDs
-	// on the wire — are recorded on the span rings, and DumpFlight (called
-	// on heartbeat-declared peer death too) writes them to this directory.
-	// Off by default — the collective hot path then keeps its 0 allocs/op
-	// guarantee.
+	// dumps are written to ("" = off). Each program's rep then blames, per
+	// answered import request, the process that reported the oldest latest
+	// export (the paper's p_s) on a straggler board, served as
+	// /diag/stragglers and as a /statusz diag: block beside each exporter
+	// process's T_ub and memcpy counts; nothing changes on the wire. Diag
+	// implies tracing: without a Tracer on Obsv the framework builds one on
+	// Clock, so the flt.* flight events — and with them the timing spans,
+	// the fig.* lines and trace IDs on the wire — are recorded on the span
+	// rings, and DumpFlight (called on heartbeat-declared peer death too)
+	// writes them to this directory.
 	Diag string
 }
 
@@ -259,6 +259,7 @@ func (f *Framework) writeStatus(w io.Writer) {
 		if p.board != nil {
 			fmt.Fprintf(w, "  diag:\n")
 			p.board.WriteStatus(w)
+			writeWaste(w, p)
 		}
 		if hb := f.opts.Heartbeat; hb > 0 {
 			for _, st := range p.rep.fd.peers() {
@@ -270,6 +271,33 @@ func (f *Framework) writeStatus(w io.Writer) {
 					st.Peer, state, st.Since.Round(time.Millisecond))
 			}
 		}
+	}
+}
+
+// writeWaste renders, per exporter process of p, what its buffering cost —
+// the paper's T_ub and the memcpys done and skipped, summed over its export
+// connections — marking the board's top straggler as p_s.
+func writeWaste(w io.Writer, p *Program) {
+	top := p.board.Snapshot().Top(1)
+	for _, proc := range p.procs {
+		if len(proc.exps) == 0 {
+			continue
+		}
+		var s buffer.Stats
+		for region := range proc.exps {
+			conns, _ := proc.ExportStats(region)
+			for _, c := range conns {
+				s.UnnecessaryTime += c.UnnecessaryTime
+				s.Copies += c.Copies
+				s.Skips += c.Skips
+			}
+		}
+		mark := ""
+		if len(top) > 0 && top[0].Rank == proc.rank {
+			mark = " <- p_s"
+		}
+		fmt.Fprintf(w, "    rank %d: T_ub=%v memcpys=%d skipped=%d%s\n",
+			proc.rank, s.UnnecessaryTime, s.Copies, s.Skips, mark)
 	}
 }
 

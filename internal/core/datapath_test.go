@@ -205,3 +205,81 @@ func dataPathBytes(t *testing.T, net transport.Network) {
 		}
 	}
 }
+
+// TestControlBeforeLayoutWaitsForIt: a restored exporter hears its
+// importer's replayed requests before the layout reply, so a request it
+// answers straight from its buffer arrives before the connection's
+// redistribution plan. The answer's data must still reach the importer —
+// once the layout lands — and the sender must never read the plan while the
+// control goroutine installs it. The exporter process runs alone here (no
+// reps, no handshake): the test plays its rep, and the importer's endpoint
+// only collects.
+func TestControlBeforeLayoutWaitsForIt(t *testing.T) {
+	cfg, err := config.ParseString("E local /bin/e 1\nI local /bin/i 1\n#\nE.d I.d REGL 0.5\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := New(cfg, Options{Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lay, err := decomp.NewRowBlock(4, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp, imp := f.MustProgram("E"), f.MustProgram("I")
+	if err := exp.DefineRegion("d", lay); err != nil {
+		t.Fatal(err)
+	}
+	if err := imp.DefineRegion("d", lay); err != nil {
+		t.Fatal(err)
+	}
+	proc := exp.Process(0)
+	proc.start()
+	block, _ := proc.Block("d")
+	for _, ts := range []float64{1, 2, 3} {
+		if err := proc.Export("d", ts, fillBlock(block, ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := connKey("E.d", "I.d")
+	rep := exp.rep.d
+	send := func(tag string, v any) {
+		t.Helper()
+		err := rep.Send(transport.Message{
+			Kind: transport.KindControl, Dst: proc.addr(), Tag: tag, Payload: wire.MustMarshal(v),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// D@2 matches the buffered D@2 at once: a job with sends.
+	send("forward", requestMsg{Conn: key, ReqID: 0, ReqTS: 2})
+	spec, err := decomp.SpecOf(lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pause changes nothing for a process that holds the forward back; it
+	// gives one that applies it at once the time to run the job's send
+	// before the plan exists, so the old order fails every run, not one in
+	// five.
+	time.Sleep(20 * time.Millisecond)
+	send("layout", layoutMsg{Conn: key, Region: "d", Remote: spec})
+
+	m, err := rep.RecvTimeout(transport.KindResponse, 5*time.Second)
+	if err != nil {
+		t.Fatalf("no response to the forwarded request: %v", err)
+	}
+	var resp responseMsg
+	if err := wire.Unmarshal(m.Payload, &resp); err != nil || resp.MatchTS != 2 {
+		t.Fatalf("response %+v, %v; want a match of D@2", resp, err)
+	}
+	data, err := imp.Process(0).d.RecvTimeout(transport.KindData, 5*time.Second)
+	if err != nil {
+		t.Fatalf("matched data never sent: %v", err)
+	}
+	if _, matchTS, sub, _, err := parseData(data.Payload); err != nil || matchTS != 2 || sub != block {
+		t.Fatalf("data frame D@%g for %v, %v; want D@2 for %v", matchTS, sub, err, block)
+	}
+}

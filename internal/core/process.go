@@ -56,6 +56,7 @@ type Process struct {
 
 	expectedLayouts int
 	layoutsSeen     map[string]bool
+	early           []transport.Message // held back until the last layout (handleControl)
 	ready           chan struct{}
 	abort           chan struct{}
 	abortOnce       sync.Once
@@ -287,9 +288,8 @@ func newProcess(p *Program, rank int, d *transport.Dispatcher) (*Process, error)
 	proc.ring = proc.tracer.Ring(p.name, rank)
 	comm.SetInstruments(collective.NewInstruments(p.fw.obs.Registry, p.name))
 	comm.SetTimeout(p.fw.opts.Timeout)
-	// The fault events (revoke, agree, shrink) reach the process's ring even
-	// without a board, which alone turns on the payload trailer.
-	comm.SetDiag(p.board, proc.ring)
+	// The fault events (revoke, agree, shrink) go to the process's ring.
+	comm.SetRing(proc.ring)
 	return proc, nil
 }
 
@@ -550,6 +550,14 @@ func (p *Process) dataLoop() {
 }
 
 func (p *Process) handleControl(m transport.Message) {
+	// Nothing but layouts is applied until the last layout is in: a restored
+	// exporter hears replayed requests before the layout reply, and a job
+	// with sends run then would race handleLayout on ec.outgoing and send
+	// the data nowhere.
+	if m.Tag != "layout" && len(p.layoutsSeen) < p.expectedLayouts {
+		p.early = append(p.early, m)
+		return
+	}
 	switch m.Tag {
 	case "layout":
 		var lm layoutMsg
@@ -611,7 +619,8 @@ func (p *Process) handleControl(m transport.Message) {
 // handleLayout finishes wiring one connection once the peer layout is known:
 // it computes the redistribution plan and this rank's share of it. Repeated
 // announcements (the distributed-mode handshake re-sends until the peer is
-// up) are ignored.
+// up) are ignored. The last one replays the control messages held back
+// until then.
 func (p *Process) handleLayout(lm layoutMsg) {
 	if p.layoutsSeen[lm.Conn] {
 		return
@@ -641,6 +650,10 @@ func (p *Process) handleLayout(lm layoutMsg) {
 	}
 	p.layoutsSeen[lm.Conn] = true
 	if len(p.layoutsSeen) == p.expectedLayouts {
+		for _, m := range p.early {
+			p.handleControl(m)
+		}
+		p.early = nil
 		close(p.ready)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/config"
 	"repro/internal/decomp"
@@ -47,11 +48,13 @@ type repRunner struct {
 // pendingReq is one aggregating import request plus the observability flow
 // it rides on (the trace ID minted by the importer's rep, zero when off).
 // Once the collective answer forms it is kept in final, so a crashed importer
-// replaying the request is re-answered without re-aggregating.
+// replaying the request is re-answered without re-aggregating. first is the
+// framework-clock time of its first response (read only under Options.Diag).
 type pendingReq struct {
 	agg   *rep.Request
 	flow  uint64
 	final *answerMsg
+	first time.Time
 }
 
 // importSeq tracks the collective import-call sequence of one region. flows
@@ -346,6 +349,8 @@ func (r *repRunner) handleRequest(m transport.Message) {
 // handleResponse (exporter side) aggregates one process response; when the
 // final collective answer forms, it is sent to the importing program's rep
 // and — the buddy-help optimization — to the still-PENDING local processes.
+// Under Options.Diag the answer's laggard is noted on the program's
+// straggler board, weighted by how long the answer waited on it.
 func (r *repRunner) handleResponse(m transport.Message) {
 	var sm responseMsg
 	if err := wire.Unmarshal(m.Payload, &sm); err != nil {
@@ -370,6 +375,10 @@ func (r *repRunner) handleResponse(m transport.Message) {
 		return
 	}
 	r.prog.proto.responses.Add(1)
+	board := r.prog.board
+	if board != nil && entry.first.IsZero() {
+		entry.first = r.prog.fw.opts.Clock.Now()
+	}
 	ans, err := entry.agg.Add(rep.Response{
 		Rank: sm.Rank, Result: sm.Result, MatchTS: sm.MatchTS, Latest: sm.Latest,
 	})
@@ -379,6 +388,9 @@ func (r *repRunner) handleResponse(m transport.Message) {
 	}
 	if ans == nil {
 		return
+	}
+	if board != nil {
+		board.Note(ans.Laggard, r.prog.fw.opts.Clock.Since(entry.first).Nanoseconds())
 	}
 	start := r.tracer.Now()
 	conn := r.expConns[sm.Conn]

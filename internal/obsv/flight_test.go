@@ -18,7 +18,7 @@ func TestDumpRoundTrip(t *testing.T) {
 	tr := NewTracer(8, clk)
 	f, rep := tr.Ring("F", 1), tr.Ring("F", -1)
 	clk.Advance(1500 * time.Nanosecond)
-	f.Record(Span{Name: "flt.collective", TS: f.Now(), Arg: 7, Detail: "allreduce blamed=2 wait=1.5µs"})
+	f.Record(Span{Name: "flt.revoke", TS: f.Now(), Arg: 7, Detail: "epoch=0 initiator"})
 	clk.Advance(time.Microsecond)
 	f.Record(Span{Name: "flt.export-stall", TS: f.Now() - 2000, Dur: 2000, Detail: "F.f>U.f"})
 	rep.Record(Span{Name: "flt.peer-down", TS: rep.Now(), Detail: "U"})
@@ -39,7 +39,7 @@ func TestDumpRoundTrip(t *testing.T) {
 		t.Fatalf("header: reason %q epoch %d", d.Reason, d.Epoch)
 	}
 	want := []LaneSpan{
-		{"F:1", Span{Name: "flt.collective", TS: 1500, Dur: 1000, Arg: 7, Detail: "allreduce blamed=2 wait=1.5µs"}},
+		{"F:1", Span{Name: "flt.revoke", TS: 1500, Dur: 1000, Arg: 7, Detail: "epoch=0 initiator"}},
 		{"F:1", Span{Name: "flt.export-stall", TS: 500, Dur: 2000, Detail: "F.f>U.f"}},
 		{"F:rep", Span{Name: "flt.peer-down", TS: 2500, Dur: 1000, Detail: "U"}},
 	}

@@ -4,7 +4,8 @@
 // the program's processes, the rep collects their MATCH / NO MATCH / PENDING
 // responses, validates that the mixture is one of the five legal cases, and
 // produces the final collective answer plus the list of PENDING processes
-// that should receive a buddy-help message.
+// that should receive a buddy-help message and the laggard, the process
+// furthest behind.
 //
 // The aggregation state machine here is transport-agnostic (and so unit
 // testable in isolation); the core package wires it to the network.
@@ -12,6 +13,7 @@ package rep
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/match"
 )
@@ -33,6 +35,10 @@ type Answer struct {
 	// BuddyRanks lists the processes whose last response was PENDING when
 	// the answer was formed — the recipients of buddy-help messages.
 	BuddyRanks []int
+	// Laggard is the process whose last response reported the strictly
+	// smallest Latest export timestamp when the answer was formed — the
+	// slowest exporter, p_s in the paper — or -1 when several tie for it.
+	Laggard int
 }
 
 // ViolationError reports a violation of the paper's Property 1: processes of
@@ -52,8 +58,8 @@ type Request struct {
 	reqTS float64
 	n     int
 
-	responded int // distinct ranks that responded at least once
-	seen      []bool
+	responded int       // distinct ranks that responded at least once
+	latest    []float64 // each rank's last reported Latest; NaN = no response yet
 	last      []match.Result
 	decided   bool
 	final     Answer
@@ -63,25 +69,17 @@ type Request struct {
 // program with n processes.
 func NewRequest(reqTS float64, n int) *Request {
 	r := &Request{
-		reqTS: reqTS,
-		n:     n,
-		seen:  make([]bool, n),
-		last:  make([]match.Result, n),
+		reqTS:  reqTS,
+		n:      n,
+		latest: make([]float64, n),
+		last:   make([]match.Result, n),
 	}
 	for i := range r.last {
 		r.last[i] = match.Pending
+		r.latest[i] = math.NaN()
 	}
 	return r
 }
-
-// ReqTS returns the request timestamp being aggregated.
-func (r *Request) ReqTS() float64 { return r.reqTS }
-
-// Decided reports whether the final answer has been formed.
-func (r *Request) Decided() bool { return r.decided }
-
-// Final returns the final answer; valid only once Decided.
-func (r *Request) Final() Answer { return r.final }
 
 // Add incorporates one response. It returns a non-nil *Answer exactly once:
 // when the final collective answer is formed — that is, when every process
@@ -110,10 +108,10 @@ func (r *Request) Add(resp Response) (*Answer, error) {
 		}
 		return nil, nil
 	}
-	if !r.seen[resp.Rank] {
-		r.seen[resp.Rank] = true
+	if math.IsNaN(r.latest[resp.Rank]) {
 		r.responded++
 	}
+	r.latest[resp.Rank] = resp.Latest
 	r.last[resp.Rank] = resp.Result
 
 	if resp.Result != match.Pending {
@@ -155,11 +153,19 @@ func (r *Request) Add(resp Response) (*Answer, error) {
 	// All processes responded and at least one was decisive: the collective
 	// answer is that decisive result (a PENDING+MATCH mixture answers MATCH;
 	// PENDING+NOMATCH answers NO MATCH). The still-PENDING ranks get
-	// buddy-help.
+	// buddy-help; the one furthest behind is the laggard.
 	r.decided = true
+	r.final.Laggard = -1
+	least := math.Inf(1)
 	for rank, res := range r.last {
 		if res == match.Pending {
 			r.final.BuddyRanks = append(r.final.BuddyRanks, rank)
+		}
+		switch l := r.latest[rank]; {
+		case l < least:
+			least, r.final.Laggard = l, rank
+		case l == least:
+			r.final.Laggard = -1
 		}
 	}
 	ans := r.final

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/match"
@@ -33,7 +34,7 @@ func TestAllMatch(t *testing.T) {
 	if len(final.BuddyRanks) != 0 {
 		t.Errorf("buddy ranks %v for all-MATCH", final.BuddyRanks)
 	}
-	if !r.Decided() {
+	if !r.decided {
 		t.Error("not decided")
 	}
 }
@@ -55,7 +56,7 @@ func TestAllPendingThenUpdates(t *testing.T) {
 			t.Fatal("answer from all-PENDING")
 		}
 	}
-	if r.Decided() {
+	if r.decided {
 		t.Fatal("decided while all pending")
 	}
 	// Rank 1 advances and re-responds with MATCH.
@@ -183,11 +184,70 @@ func TestAnswerFormedExactlyOnce(t *testing.T) {
 	if ans := mustAdd(t, r, Response{Rank: 0, Result: match.Match, MatchTS: 5}); ans != nil {
 		t.Error("answer formed twice")
 	}
-	if got := r.Final(); got.Result != match.Match || got.MatchTS != 5 {
-		t.Errorf("Final() = %+v", got)
+	if got := r.final; got.Result != match.Match || got.MatchTS != 5 {
+		t.Errorf("final = %+v", got)
 	}
-	if r.ReqTS() != 20 {
-		t.Errorf("ReqTS %v", r.ReqTS())
+	if r.reqTS != 20 {
+		t.Errorf("reqTS %v", r.reqTS)
+	}
+}
+
+// TestLaggard: the answer blames the rank whose last response reported the
+// strictly smallest Latest when the answer formed, and nobody on a tie.
+func TestLaggard(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		n     int
+		resps []Response
+		want  int
+	}{
+		{"single process", 1, []Response{
+			{Rank: 0, Result: match.Match, MatchTS: 19, Latest: 19},
+		}, 0},
+		{"all equal", 3, []Response{
+			{Rank: 0, Result: match.Match, MatchTS: 19, Latest: 20},
+			{Rank: 1, Result: match.Match, MatchTS: 19, Latest: 20},
+			{Rank: 2, Result: match.Match, MatchTS: 19, Latest: 20},
+		}, -1},
+		{"pending laggard", 4, []Response{
+			{Rank: 3, Result: match.Match, MatchTS: 19.6, Latest: 21},
+			{Rank: 0, Result: match.Match, MatchTS: 19.6, Latest: 20},
+			{Rank: 1, Result: match.Pending, Latest: 14.6},
+			{Rank: 2, Result: match.Pending, Latest: 17},
+		}, 1},
+		{"tie for last", 3, []Response{
+			{Rank: 0, Result: match.Pending, Latest: 12},
+			{Rank: 1, Result: match.Pending, Latest: 12},
+			{Rank: 2, Result: match.NoMatch, Latest: 30},
+		}, -1},
+		{"no exports yet", 2, []Response{
+			{Rank: 0, Result: match.Pending, Latest: match.NoExports},
+			{Rank: 1, Result: match.NoMatch, Latest: 30},
+		}, 0},
+		{"re-response raises the laggard", 3, []Response{
+			{Rank: 0, Result: match.Pending, Latest: 5},
+			{Rank: 1, Result: match.Match, MatchTS: 19, Latest: 20},
+			{Rank: 0, Result: match.Pending, Latest: 8},
+			{Rank: 2, Result: match.Match, MatchTS: 19, Latest: 7},
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := NewRequest(20, tc.n)
+			var final *Answer
+			for i, resp := range tc.resps {
+				ans := mustAdd(t, r, resp)
+				if ans != nil && i != len(tc.resps)-1 {
+					t.Fatalf("answer formed after response %d of %d", i+1, len(tc.resps))
+				}
+				final = ans
+			}
+			if final == nil {
+				t.Fatal("no answer formed")
+			}
+			if final.Laggard != tc.want || r.final.Laggard != tc.want {
+				t.Fatalf("Laggard = %d (final %d), want %d", final.Laggard, r.final.Laggard, tc.want)
+			}
+		})
 	}
 }
 
@@ -200,8 +260,10 @@ func TestViolationErrorMessage(t *testing.T) {
 
 // TestPropertyRandomLegalSchedules: generate random legal response schedules
 // (a ground-truth decisive answer, each rank either answering it directly or
-// answering PENDING first) and assert the aggregate always forms exactly one
-// answer matching the ground truth, with buddy ranks = ranks still pending.
+// answering PENDING first, each response reporting a random Latest) and
+// assert the aggregate always forms exactly one answer matching the ground
+// truth, with buddy ranks = ranks still pending and the laggard the strict
+// argmin of the Latest values last reported.
 func TestPropertyRandomLegalSchedules(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -226,18 +288,32 @@ func TestPropertyRandomLegalSchedules(t *testing.T) {
 		order := rng.Perm(n)
 		var got *Answer
 		pendingAtDecision := map[int]bool{}
-		responded := 0
+		// latest is what each rank last reported; the argmin is taken when
+		// the answer forms. Small integers make ties common.
+		latest := make([]float64, n)
+		wantLaggard := -2
+		add := func(resp Response) *Answer {
+			resp.Latest = float64(rng.Intn(4))
+			latest[resp.Rank] = resp.Latest
+			ans, err := r.Add(resp)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if ans != nil && got == nil {
+				least := slices.Min(latest)
+				wantLaggard = slices.Index(latest, least)
+				if slices.IndexFunc(latest[wantLaggard+1:], func(l float64) bool { return l == least }) >= 0 {
+					wantLaggard = -1 // a tie blames nobody
+				}
+			}
+			return ans
+		}
 		for _, rank := range order {
 			resp := Response{Rank: rank, Result: truth, MatchTS: truthTS}
 			if slow[rank] {
 				resp = Response{Rank: rank, Result: match.Pending}
 			}
-			ans, err := r.Add(resp)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			responded++
-			if ans != nil {
+			if ans := add(resp); ans != nil {
 				if got != nil {
 					t.Fatalf("seed %d: two answers", seed)
 				}
@@ -254,10 +330,7 @@ func TestPropertyRandomLegalSchedules(t *testing.T) {
 			if !slow[rank] {
 				continue
 			}
-			ans, err := r.Add(Response{Rank: rank, Result: truth, MatchTS: truthTS})
-			if err != nil {
-				t.Fatalf("seed %d catch-up: %v", seed, err)
-			}
+			ans := add(Response{Rank: rank, Result: truth, MatchTS: truthTS})
 			if got == nil && ans != nil {
 				got = ans
 			} else if got != nil && ans != nil {
@@ -280,6 +353,9 @@ func TestPropertyRandomLegalSchedules(t *testing.T) {
 			if !slow[rk] {
 				t.Fatalf("seed %d: buddy rank %d was not pending", seed, rk)
 			}
+		}
+		if got.Laggard != wantLaggard {
+			t.Fatalf("seed %d: Laggard %d, want %d (latest %v)", seed, got.Laggard, wantLaggard, latest)
 		}
 	}
 }
