@@ -478,28 +478,12 @@ func (f *Framework) Start() error {
 	sendLayouts := func() error {
 		for _, conn := range f.cfg.Connections {
 			key := connKey(conn.Export.String(), conn.Import.String())
-			if expProg, ok := f.programs[conn.Export.Program]; ok {
-				spec, err := decomp.SpecOf(expProg.regions[conn.Export.Region].layout)
-				if err != nil {
-					return err
-				}
-				err = expProg.rep.sendLayout(transport.Rep(conn.Import.Program), layoutMsg{
-					Conn: key, Region: conn.Import.Region, Remote: spec,
-				})
-				if err != nil && !errors.Is(err, transport.ErrUnknownAddr) {
-					return err
-				}
-			}
-			if impProg, ok := f.programs[conn.Import.Program]; ok {
-				spec, err := decomp.SpecOf(impProg.regions[conn.Import.Region].layout)
-				if err != nil {
-					return err
-				}
-				err = impProg.rep.sendLayout(transport.Rep(conn.Export.Program), layoutMsg{
-					Conn: key, Region: conn.Export.Region, Remote: spec,
-				})
-				if err != nil && !errors.Is(err, transport.ErrUnknownAddr) {
-					return err
+			for _, end := range [...][2]config.Endpoint{{conn.Export, conn.Import}, {conn.Import, conn.Export}} {
+				if p, ok := f.programs[end[0].Program]; ok {
+					err := p.rep.sendLayout(key, end[0].Region, end[1].Program, false)
+					if err != nil && !errors.Is(err, transport.ErrUnknownAddr) {
+						return err
+					}
 				}
 			}
 		}

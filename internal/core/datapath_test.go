@@ -79,12 +79,13 @@ func dataPathBytes(t *testing.T, net transport.Network) {
 		warmup  = 24
 		steps   = 32
 		windows = 6
-		// budget is the control traffic of a step — about ten gob-encoded
-		// import calls, requests, forwards, responses and answers, ~100 KB
-		// because every wire.Unmarshal compiles a fresh decoder — plus a
-		// late third version buffer (1 MiB once) when a slow transfer holds
-		// two. One copy of a block per transfer would add 2 MiB.
-		budget = 192 << 10
+		// budget is a late third version buffer — 1 MiB once, when a slow
+		// transfer holds two, 32 KiB a step spread over the window — plus
+		// the step's binary control traffic: about ten import calls,
+		// requests, forwards, responses and answers, 2-4 KB in all. A window
+		// that draws two late buffers fails and the next one is measured.
+		// One copy of a block per transfer would add 2 MiB.
+		budget = 48 << 10
 	)
 	cfg, err := config.ParseString(fmt.Sprintf("E local b %d\nI local b %d\n#\nE.d I.d REGL 0.5\n", procs, procs))
 	if err != nil {
@@ -245,17 +246,18 @@ func TestControlBeforeLayoutWaitsForIt(t *testing.T) {
 	}
 	key := connKey("E.d", "I.d")
 	rep := exp.rep.d
-	send := func(tag string, v any) {
+	send := func(tag string, fields func(*wire.Ctl)) {
 		t.Helper()
 		err := rep.Send(transport.Message{
-			Kind: transport.KindControl, Dst: proc.addr(), Tag: tag, Payload: wire.MustMarshal(v),
+			Kind: transport.KindControl, Dst: proc.addr(), Tag: tag, Payload: wire.Encode(fields),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	// D@2 matches the buffered D@2 at once: a job with sends.
-	send("forward", requestMsg{Conn: key, ReqID: 0, ReqTS: 2})
+	req := requestMsg{Conn: key, ReqID: 0, ReqTS: 2}
+	send("forward", req.fields)
 	spec, err := decomp.SpecOf(lay)
 	if err != nil {
 		t.Fatal(err)
@@ -265,14 +267,15 @@ func TestControlBeforeLayoutWaitsForIt(t *testing.T) {
 	// before the plan exists, so the old order fails every run, not one in
 	// five.
 	time.Sleep(20 * time.Millisecond)
-	send("layout", layoutMsg{Conn: key, Region: "d", Remote: spec})
+	lm := layoutMsg{Conn: key, Remote: spec}
+	send("layout", lm.fields)
 
 	m, err := rep.RecvTimeout(transport.KindResponse, 5*time.Second)
 	if err != nil {
 		t.Fatalf("no response to the forwarded request: %v", err)
 	}
 	var resp responseMsg
-	if err := wire.Unmarshal(m.Payload, &resp); err != nil || resp.MatchTS != 2 {
+	if err := wire.Decode(m.Payload, resp.fields); err != nil || resp.MatchTS != 2 {
 		t.Fatalf("response %+v, %v; want a match of D@2", resp, err)
 	}
 	data, err := imp.Process(0).d.RecvTimeout(transport.KindData, 5*time.Second)

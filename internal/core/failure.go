@@ -171,11 +171,9 @@ func (r *repRunner) handleControl(m transport.Message) {
 		r.touchPeer(m)
 	case downTag:
 		var em errorMsg
-		if err := wire.Unmarshal(m.Payload, &em); err != nil {
-			r.prog.fail(err)
-			return
+		if r.prog.decode(m, em.fields) {
+			r.prog.peerDown(&PeerDownError{Peer: m.Src.Program, Observer: r.prog.name, Cause: em.Text})
 		}
-		r.prog.peerDown(&PeerDownError{Peer: m.Src.Program, Observer: r.prog.name, Cause: em.Text})
 	case rejoinTag:
 		r.handleRejoin(m)
 	case releaseTag:
@@ -224,7 +222,8 @@ func (r *repRunner) announceFailure(peers []string, cause error) {
 	if cause != nil {
 		text = cause.Error()
 	}
-	payload := wire.MustMarshal(errorMsg{Text: text})
+	em := errorMsg{Text: text}
+	payload := wire.Encode(em.fields)
 	for _, peer := range peers {
 		_ = r.d.Send(transport.Message{
 			Kind:    transport.KindControl,

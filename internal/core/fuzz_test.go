@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/decomp"
+	"repro/internal/wire"
 )
 
 // FuzzDecodeData: the data-message header parser and the row decode behind
@@ -36,6 +37,29 @@ func FuzzDecodeData(f *testing.F) {
 		enc, err := appendData(nil, reqID, matchTS, &got, sub)
 		if err != nil || !bytes.Equal(enc, b) {
 			t.Fatalf("round trip of %d bytes gave %d bytes, %v", len(b), len(enc), err)
+		}
+	})
+}
+
+// FuzzControl: decoding any bytes as any control message must never panic,
+// and a payload a message accepts must encode back byte for byte — each
+// layout has exactly one encoding of every value it reads.
+func FuzzControl(f *testing.F) {
+	samples := controlSamples()
+	f.Add([]byte{})
+	for _, s := range samples {
+		f.Add(s.want)
+		f.Add(s.want[:len(s.want)-1])
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, s := range samples {
+			m := fresh(s.msg)
+			if wire.Decode(b, m.fields) != nil {
+				continue
+			}
+			if enc := wire.Encode(m.fields); !bytes.Equal(enc, b) {
+				t.Fatalf("%s: accepted %x, re-encodes to %x", s.name, b, enc)
+			}
 		}
 	})
 }

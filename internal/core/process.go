@@ -561,29 +561,22 @@ func (p *Process) handleControl(m transport.Message) {
 	switch m.Tag {
 	case "layout":
 		var lm layoutMsg
-		if err := wire.Unmarshal(m.Payload, &lm); err != nil {
-			p.prog.fail(err)
-			return
+		if p.prog.decode(m, lm.fields) {
+			p.handleLayout(lm)
 		}
-		p.handleLayout(lm)
 	case "forward":
 		var rm requestMsg
-		if err := wire.Unmarshal(m.Payload, &rm); err != nil {
-			p.prog.fail(err)
-			return
+		if p.prog.decode(m, rm.fields) {
+			p.handleForward(rm, m.Trace)
 		}
-		p.handleForward(rm, m.Trace)
 	case "buddy":
 		var am answerMsg
-		if err := wire.Unmarshal(m.Payload, &am); err != nil {
-			p.prog.fail(err)
-			return
+		if p.prog.decode(m, am.fields) {
+			p.handleBuddy(am, m.Trace)
 		}
-		p.handleBuddy(am, m.Trace)
 	case releaseTag:
 		var lm releaseMsg
-		if err := wire.Unmarshal(m.Payload, &lm); err != nil {
-			p.prog.fail(err)
+		if !p.prog.decode(m, lm.fields) {
 			return
 		}
 		if ec, ok := p.expConnByKey[lm.Conn]; ok {
@@ -593,15 +586,12 @@ func (p *Process) handleControl(m transport.Message) {
 		}
 	case resendTag:
 		var rm requestMsg
-		if err := wire.Unmarshal(m.Payload, &rm); err != nil {
-			p.prog.fail(err)
-			return
+		if p.prog.decode(m, rm.fields) {
+			p.handleResend(rm, m.Trace)
 		}
-		p.handleResend(rm, m.Trace)
 	case "answer":
 		var am answerMsg
-		if err := wire.Unmarshal(m.Payload, &am); err != nil {
-			p.prog.fail(err)
+		if !p.prog.decode(m, am.fields) {
 			return
 		}
 		st, ok := p.impByKey[am.Conn]
@@ -1019,7 +1009,7 @@ func (p *Process) sendResponse(ec *exportConn, r respData) {
 		Dst:     transport.Rep(p.prog.name),
 		Tag:     ec.key,
 		Trace:   r.flow,
-		Payload: wire.MustMarshal(msg),
+		Payload: wire.Encode(msg.fields),
 	})
 	if err != nil {
 		if p.checkAbort() != nil {
@@ -1213,11 +1203,12 @@ func (p *Process) Import(region string, ts float64, dst []float64) (ImportResult
 	}
 	impStart := p.tracer.Now()
 
+	call := importCallMsg{Region: region, ReqTS: ts}
 	err := p.d.Send(transport.Message{
 		Kind:    transport.KindImportCall,
 		Dst:     transport.Rep(p.prog.name),
 		Tag:     region,
-		Payload: wire.MustMarshal(importCallMsg{Region: region, ReqTS: ts}),
+		Payload: wire.Encode(call.fields),
 	})
 	if err != nil {
 		return ImportResult{}, err

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/buffer"
@@ -217,11 +219,12 @@ func (p *Program) contributeCkpt(proc *Process, seq uint64, ps recover.ProcState
 		if !ok {
 			continue
 		}
+		rm := releaseMsg{Conn: key, Through: len(ims.Issued)}
 		err := proc.d.Send(transport.Message{
 			Kind:    transport.KindControl,
 			Dst:     transport.Rep(conn.Export.Program),
 			Tag:     releaseTag,
-			Payload: wire.MustMarshal(releaseMsg{Conn: key, Through: len(ims.Issued)}),
+			Payload: wire.Encode(rm.fields),
 		})
 		if err != nil && proc.checkAbort() == nil {
 			p.fail(err)
@@ -237,28 +240,26 @@ func (p *Program) contributeCkpt(proc *Process, seq uint64, ps recover.ProcState
 // deduplicate by epoch.
 func (r *repRunner) announceRejoin() error {
 	rec := r.prog.rec
-	rm := rejoinMsg{
-		Epoch:   rec.epoch,
-		Exports: make(map[string]int),
-		Imports: make(map[string]int),
-	}
+	resume := make(map[string]int)
 	for _, proc := range r.prog.procs {
 		for _, st := range proc.exps {
 			for _, ec := range st.conns {
 				ec.mu.Lock()
 				n := ec.mgr.NumRequests()
 				ec.mu.Unlock()
-				if cur, ok := rm.Exports[ec.key]; !ok || n < cur {
-					rm.Exports[ec.key] = n
+				if cur, ok := resume[ec.key]; !ok || n < cur {
+					resume[ec.key] = n
 				}
 			}
 		}
-		for _, st := range proc.imps {
-			rm.Imports[st.key] = len(st.issued)
-		}
 	}
+	rm := rejoinMsg{Epoch: rec.epoch}
+	for key, n := range resume {
+		rm.Exports = append(rm.Exports, resumePoint{Conn: key, ReqID: n})
+	}
+	slices.SortFunc(rm.Exports, func(a, b resumePoint) int { return strings.Compare(a.Conn, b.Conn) })
 	r.ring.Record(obsv.Span{Name: "flt.rejoin", TS: r.ring.Now(), Arg: int64(rec.epoch), Detail: "announce"})
-	payload := wire.MustMarshal(rm)
+	payload := wire.Encode(rm.fields)
 	for _, peer := range r.prog.fw.peerPrograms(r.prog.name) {
 		err := r.d.Send(transport.Message{
 			Kind:    transport.KindControl,
@@ -282,20 +283,14 @@ func (r *repRunner) announceRejoin() error {
 // announcements of the same epoch are deduplicated.
 func (r *repRunner) handleRejoin(m transport.Message) {
 	r.touchPeer(m)
+	var rm rejoinMsg
+	if !r.prog.decode(m, rm.fields) {
+		return
+	}
 	if r.prog.rec == nil {
 		// Peer recovers, we don't: treat its new incarnation like a fresh
 		// session anyway so the coupling has a chance to continue.
-		var rm rejoinMsg
-		if err := wire.Unmarshal(m.Payload, &rm); err != nil {
-			r.prog.fail(err)
-			return
-		}
 		resetPeerSessions(r.prog.fw.net, m.Src.Program, uint32(rm.Epoch))
-		return
-	}
-	var rm rejoinMsg
-	if err := wire.Unmarshal(m.Payload, &rm); err != nil {
-		r.prog.fail(err)
 		return
 	}
 	peer := m.Src.Program
@@ -313,19 +308,22 @@ func (r *repRunner) handleRejoin(m transport.Message) {
 		}
 		is := r.impSeq[conn.Import.Region]
 		floor := is.delivered
-		if resume, ok := rm.Exports[key]; ok && resume < floor {
-			floor = resume
+		for _, e := range rm.Exports {
+			if e.Conn == key && e.ReqID < floor {
+				floor = e.ReqID
+			}
 		}
 		for reqID := floor; reqID < len(is.seq); reqID++ {
 			var flow uint64
 			if reqID < len(is.flows) {
 				flow = is.flows[reqID]
 			}
+			req := requestMsg{Conn: key, ReqID: reqID, ReqTS: is.seq[reqID]}
 			err := r.d.Send(transport.Message{
 				Kind:    transport.KindRequest,
 				Dst:     transport.Rep(peer),
 				Tag:     key,
-				Payload: wire.MustMarshal(requestMsg{Conn: key, ReqID: reqID, ReqTS: is.seq[reqID]}),
+				Payload: wire.Encode(req.fields),
 				Trace:   flow,
 			})
 			if err != nil {

@@ -128,14 +128,22 @@ func (r *repRunner) close() {
 	r.d.Close()
 }
 
-// sendLayout ships a layout announcement to a peer rep (invoked by
-// Framework.Start on this rep's behalf).
-func (r *repRunner) sendLayout(dst transport.Addr, lm layoutMsg) error {
+// sendLayout announces the layout of this program's region of connection
+// key to the peer program's rep: Framework.Start's announcements, and the
+// replies of handleLayout.
+func (r *repRunner) sendLayout(key, region, peer string, isReply bool) error {
+	def, ok := r.prog.regions[region]
+	if !ok {
+		return fmt.Errorf("core: program %s never defined region %q named in the coupling configuration",
+			r.prog.name, region)
+	}
+	spec, err := decomp.SpecOf(def.layout)
+	if err != nil {
+		return err
+	}
+	lm := layoutMsg{Conn: key, Remote: spec, IsReply: isReply}
 	return r.d.Send(transport.Message{
-		Kind:    transport.KindLayout,
-		Dst:     dst,
-		Tag:     lm.Conn,
-		Payload: wire.MustMarshal(lm),
+		Kind: transport.KindLayout, Dst: transport.Rep(peer), Tag: key, Payload: wire.Encode(lm.fields),
 	})
 }
 
@@ -194,38 +202,22 @@ func (r *repRunner) handleLayout(m transport.Message) {
 	r.touchPeer(m)
 	r.toProcs("layout", m.Payload, 0)
 	var lm layoutMsg
-	if err := wire.Unmarshal(m.Payload, &lm); err != nil {
-		r.prog.fail(err)
+	if !r.prog.decode(m, lm.fields) {
 		return
 	}
 	if lm.IsReply {
 		return
 	}
-	var conn config.Connection
-	var ourRegion, peerRegion, peerProgram string
+	var own, peer config.Endpoint
 	if c, ok := r.expConns[lm.Conn]; ok {
-		conn, ourRegion, peerRegion, peerProgram = c, c.Export.Region, c.Import.Region, c.Import.Program
+		own, peer = c.Export, c.Import
 	} else if c, ok := r.impConns[lm.Conn]; ok {
-		conn, ourRegion, peerRegion, peerProgram = c, c.Import.Region, c.Export.Region, c.Export.Program
+		own, peer = c.Import, c.Export
 	} else {
 		r.prog.fail(fmt.Errorf("core: %s got layout for unknown connection %q", r.prog.name, lm.Conn))
 		return
 	}
-	_ = conn
-	def, ok := r.prog.regions[ourRegion]
-	if !ok {
-		r.prog.fail(fmt.Errorf("core: program %s never defined region %q named in the coupling configuration",
-			r.prog.name, ourRegion))
-		return
-	}
-	spec, err := decomp.SpecOf(def.layout)
-	if err != nil {
-		r.prog.fail(err)
-		return
-	}
-	if err := r.sendLayout(transport.Rep(peerProgram), layoutMsg{
-		Conn: lm.Conn, Region: peerRegion, Remote: spec, IsReply: true,
-	}); err != nil {
+	if err := r.sendLayout(lm.Conn, own.Region, peer.Program, true); err != nil {
 		r.prog.fail(err)
 	}
 }
@@ -236,8 +228,7 @@ func (r *repRunner) handleLayout(m transport.Message) {
 // sequence (Property 1 on the importer side).
 func (r *repRunner) handleImportCall(m transport.Message) {
 	var cm importCallMsg
-	if err := wire.Unmarshal(m.Payload, &cm); err != nil {
-		r.prog.fail(err)
+	if !r.prog.decode(m, cm.fields) {
 		return
 	}
 	r.prog.proto.importCalls.Add(1)
@@ -278,11 +269,12 @@ func (r *repRunner) handleImportCall(m transport.Message) {
 	flow := r.tracer.NewSpanID()
 	is.flows = append(is.flows, flow)
 	start := r.tracer.Now()
+	req := requestMsg{Conn: is.key, ReqID: reqID, ReqTS: cm.ReqTS}
 	err := r.d.Send(transport.Message{
 		Kind:    transport.KindRequest,
 		Dst:     transport.Rep(is.conn.Export.Program),
 		Tag:     is.key,
-		Payload: wire.MustMarshal(requestMsg{Conn: is.key, ReqID: reqID, ReqTS: cm.ReqTS}),
+		Payload: wire.Encode(req.fields),
 		Trace:   flow,
 	})
 	if err != nil {
@@ -300,8 +292,7 @@ func (r *repRunner) handleImportCall(m transport.Message) {
 func (r *repRunner) handleRequest(m transport.Message) {
 	r.touchPeer(m)
 	var rm requestMsg
-	if err := wire.Unmarshal(m.Payload, &rm); err != nil {
-		r.prog.fail(err)
+	if !r.prog.decode(m, rm.fields) {
 		return
 	}
 	conns := r.aggs[rm.Conn]
@@ -324,7 +315,7 @@ func (r *repRunner) handleRequest(m transport.Message) {
 				Kind:    transport.KindAnswer,
 				Dst:     transport.Rep(r.expConns[rm.Conn].Import.Program),
 				Tag:     rm.Conn,
-				Payload: wire.MustMarshal(*pr.final),
+				Payload: wire.Encode(pr.final.fields),
 				Trace:   pr.flow,
 			}); err != nil {
 				r.prog.fail(err)
@@ -353,8 +344,7 @@ func (r *repRunner) handleRequest(m transport.Message) {
 // straggler board, weighted by how long the answer waited on it.
 func (r *repRunner) handleResponse(m transport.Message) {
 	var sm responseMsg
-	if err := wire.Unmarshal(m.Payload, &sm); err != nil {
-		r.prog.fail(err)
+	if !r.prog.decode(m, sm.fields) {
 		return
 	}
 	conns := r.aggs[sm.Conn]
@@ -399,7 +389,7 @@ func (r *repRunner) handleResponse(m transport.Message) {
 		Result: ans.Result, MatchTS: ans.MatchTS,
 	}
 	entry.final = &final
-	payload := wire.MustMarshal(final)
+	payload := wire.Encode(final.fields)
 	r.prog.proto.answersSent.Add(1)
 	if err := r.d.Send(transport.Message{
 		Kind:    transport.KindAnswer,
@@ -437,8 +427,7 @@ func (r *repRunner) handleResponse(m transport.Message) {
 func (r *repRunner) handleAnswer(m transport.Message) {
 	r.touchPeer(m)
 	var am answerMsg
-	if err := wire.Unmarshal(m.Payload, &am); err != nil {
-		r.prog.fail(err)
+	if !r.prog.decode(m, am.fields) {
 		return
 	}
 	conn, ok := r.impConns[am.Conn]
@@ -446,7 +435,6 @@ func (r *repRunner) handleAnswer(m transport.Message) {
 		r.prog.fail(fmt.Errorf("core: %s got answer for unknown connection %q", r.prog.name, am.Conn))
 		return
 	}
-	am.Region = conn.Import.Region
 	if am.Result != match.Match && am.Result != match.NoMatch {
 		r.prog.fail(fmt.Errorf("core: %s got non-final answer %v", r.prog.name, am.Result))
 		return
@@ -460,7 +448,7 @@ func (r *repRunner) handleAnswer(m transport.Message) {
 	is.delivered = am.ReqID + 1
 	r.prog.proto.answersDelivered.Add(uint64(r.prog.n))
 	start := r.tracer.Now()
-	r.toProcs("answer", wire.MustMarshal(am), m.Trace)
+	r.toProcs("answer", m.Payload, m.Trace)
 	r.ring.Record(obsv.Span{
 		Name: "answer.deliver", TS: start, Dur: r.tracer.Now() - start,
 		Flow: m.Trace, Arg: int64(am.ReqID), Detail: am.Conn,

@@ -5,10 +5,10 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/match"
 	"repro/internal/obsv"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Checker is the per-message invariant monitor. It wraps the outermost
@@ -111,54 +111,44 @@ func (c *Checker) decisions() int {
 	return c.decided
 }
 
-// respRecord is the decoded mirror of the core-internal response message
-// (gob matches fields by name), enough to observe the matcher's decisions.
-type respRecord struct {
-	Conn   string
-	ReqID  int
-	Rank   int
-	Result match.Result
-}
-
 // observeSend records a KindResponse leaving src. Exporter processes are
-// the only senders of that kind, so one that does not decode into the mirror
-// — or decodes without its connection — means the mirror has drifted from
-// core's message (a renamed field, a new codec) and the response-order
-// invariant would be off with every run still green: that is a violation.
+// the only senders of that kind, so one that core's own parser rejects — or
+// that names no connection — means the checker can no longer read what the
+// rep reads, and the response-order invariant would be off with every run
+// still green: that is a violation.
 func (c *Checker) observeSend(src transport.Addr, m transport.Message) {
-	var rm respRecord
-	err := wire.Unmarshal(m.Payload, &rm)
-	key := src.String() + "|" + rm.Conn
+	conn, reqID, _, res, err := core.ParseResponse(m.Payload)
+	key := src.String() + "|" + conn
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.firstErr != nil {
 		return
 	}
-	if err != nil || rm.Conn == "" {
-		c.fail("response from %s not decodable as a process response (conn %q): %v", src, rm.Conn, err)
+	if err != nil || conn == "" {
+		c.fail("response from %s not decodable as a process response (conn %q): %v", src, conn, err)
 		return
 	}
-	if rm.Result == match.Pending {
-		if last, ok := c.lastPending[key]; ok && rm.ReqID <= last {
-			c.fail("response order on %s: PENDING for req %d after PENDING for req %d", key, rm.ReqID, last)
+	if res == match.Pending {
+		if last, ok := c.lastPending[key]; ok && reqID <= last {
+			c.fail("response order on %s: PENDING for req %d after PENDING for req %d", key, reqID, last)
 			return
 		}
-		if decided, ok := c.lastDecided[key]; ok && rm.ReqID <= decided {
-			c.fail("response order on %s: PENDING for req %d after req %d was decided", key, rm.ReqID, decided)
+		if decided, ok := c.lastDecided[key]; ok && reqID <= decided {
+			c.fail("response order on %s: PENDING for req %d after req %d was decided", key, reqID, decided)
 			return
 		}
-		c.lastPending[key] = rm.ReqID
+		c.lastPending[key] = reqID
 		return
 	}
-	if decided, ok := c.lastDecided[key]; ok && rm.ReqID <= decided {
-		if rm.ReqID == decided {
-			c.fail("response order on %s: req %d decided twice", key, rm.ReqID)
+	if decided, ok := c.lastDecided[key]; ok && reqID <= decided {
+		if reqID == decided {
+			c.fail("response order on %s: req %d decided twice", key, reqID)
 		} else {
-			c.fail("response order on %s: req %d decided after req %d", key, rm.ReqID, decided)
+			c.fail("response order on %s: req %d decided after req %d", key, reqID, decided)
 		}
 		return
 	}
-	c.lastDecided[key] = rm.ReqID
+	c.lastDecided[key] = reqID
 	c.decided++
 }
 

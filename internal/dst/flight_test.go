@@ -97,10 +97,11 @@ func TestCheckerFlightDumpOnViolation(t *testing.T) {
 
 // TestCheckerRejectsUndecodableResponse pins the failure mode the checker
 // must not have: exporter processes are the only senders of KindResponse, so
-// one the mirror struct cannot read — garbage, or a gob whose connection
-// field was renamed away — is the response-order invariant going blind, and
-// must be latched rather than skipped. A well-formed response passes and is
-// counted, which is what lets a scenario notice a tap that saw nothing.
+// one the rep's parser cannot read — garbage, a cut or padded layout, or a
+// response naming no connection — is the response-order invariant going
+// blind, and must be latched rather than skipped. A well-formed response
+// passes and is counted, which is what lets a scenario notice a tap that saw
+// nothing.
 func TestCheckerRejectsUndecodableResponse(t *testing.T) {
 	send := func(t *testing.T, payload []byte) *Checker {
 		chk := NewChecker()
@@ -120,15 +121,23 @@ func TestCheckerRejectsUndecodableResponse(t *testing.T) {
 		}
 		return chk
 	}
-	marshal := func(v any) []byte {
-		b, err := wire.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+	// response writes the KindResponse layout (docs/PROTOCOL.md): conn,
+	// reqID, reqTS, rank, result, matchTS, latest.
+	response := func(conn string, res match.Result) []byte {
+		return wire.Encode(func(c *wire.Ctl) {
+			reqID, rank, result, ts := 0, 1, int(res), 19.6
+			c.Str(&conn)
+			c.Int(&reqID)
+			c.F64(&ts)
+			c.Int(&rank)
+			c.Int(&result)
+			c.F64(&ts)
+			c.F64(&ts)
+		})
 	}
 
-	good := send(t, marshal(respRecord{Conn: "U.f", ReqID: 0, Result: match.Match}))
+	wellFormed := response("U.f", match.Match)
+	good := send(t, wellFormed)
 	if err := good.Err(); err != nil {
 		t.Fatalf("well-formed response rejected: %v", err)
 	}
@@ -136,11 +145,10 @@ func TestCheckerRejectsUndecodableResponse(t *testing.T) {
 		t.Fatalf("checker counted %d decisive responses, want 1", n)
 	}
 	for name, payload := range map[string][]byte{
-		"garbage": []byte("not a gob"),
-		"renamed field": marshal(struct {
-			Connection string
-			ReqID      int
-		}{"U.f", 0}),
+		"garbage":   []byte("not a response"),
+		"truncated": wellFormed[:len(wellFormed)-1],
+		"trailing":  append(append([]byte(nil), wellFormed...), 0),
+		"no conn":   response("", match.Match),
 	} {
 		chk := send(t, payload)
 		if err := chk.Err(); err == nil || !strings.Contains(err.Error(), "not decodable") {

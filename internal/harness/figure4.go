@@ -153,12 +153,19 @@ func (c Figure4Config) validate() error {
 // "processes" share real cores with the framework's control loops, and a
 // busy-wait would starve them (Go preempts non-cooperative goroutines only
 // at ~10ms granularity), destroying the timing dynamics the benchmark
-// studies. A sleeping process still takes d wall-clock time per iteration,
-// which is all the paper's speed relationships depend on.
-func work(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
+// studies. A sleeping process still takes d wall-clock time per iteration
+// on average, which is all the paper's speed relationships depend on: when
+// no goroutine is runnable the runtime waits in epoll, whose timeout is whole
+// milliseconds, so a 200µs sleep on an idle machine lasts 1ms, and each
+// phase is shortened by what the process's earlier ones overslept (*over).
+func work(d time.Duration, over *time.Duration) {
+	if d -= *over; d <= 0 {
+		*over = -d
+		return
 	}
+	start := time.Now()
+	time.Sleep(d)
+	*over = time.Since(start) - d
 }
 
 // neighborSync exchanges an empty token with the adjacent ranks, the
@@ -306,11 +313,12 @@ func runFigure4Once(cfg Figure4Config) (*Figure4Result, error) {
 			if r == slow {
 				compute = cfg.SlowWork
 			}
+			var over time.Duration
 			for k := 1; k <= cfg.Exports; k++ {
 				// The "computation" part of the iteration. Touch the data so
 				// the export genuinely snapshots fresh values.
 				data[k%len(data)] = float64(k)
-				work(compute)
+				work(compute, &over)
 				ts := float64(k) + 0.6
 				start := time.Now()
 				if err := p.Export("f", ts, data); err != nil {
@@ -339,6 +347,7 @@ func runFigure4Once(cfg Figure4Config) (*Figure4Result, error) {
 				return
 			}
 			dst := make([]float64, block.Area())
+			var over time.Duration
 			for j := 1; j <= requests; j++ {
 				res, err := p.Import("f", float64(j*cfg.MatchEvery), dst)
 				if err != nil {
@@ -351,7 +360,7 @@ func runFigure4Once(cfg Figure4Config) (*Figure4Result, error) {
 						sums[r] += v
 					}
 				}
-				work(uWork)
+				work(uWork, &over)
 				if cfg.SyncImporter {
 					// The halo-exchange synchronization of a real stencil
 					// solver: a token swap with the neighboring ranks, so

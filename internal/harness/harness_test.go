@@ -244,12 +244,13 @@ func TestRunScenarioDispatch(t *testing.T) {
 }
 
 func TestWork(t *testing.T) {
+	var over time.Duration
 	start := time.Now()
-	work(2 * time.Millisecond)
+	work(2*time.Millisecond, &over)
 	if time.Since(start) < 2*time.Millisecond {
 		t.Error("work returned early")
 	}
-	work(0) // must not hang
+	work(0, &over) // must not hang
 }
 
 // series builds a duration series from nanosecond values.

@@ -69,7 +69,8 @@ type Store interface {
 	Load(program string) (*Checkpoint, error)
 }
 
-// Encode serializes a checkpoint (gob, via the wire package).
+// Encode serializes a checkpoint (gob, via the wire package). Checkpoints
+// keep gob: written once per checkpoint, nested maps, covered by FuzzCheckpoint.
 func Encode(ck *Checkpoint) ([]byte, error) { return wire.Marshal(ck) }
 
 // Decode deserializes a checkpoint produced by Encode.

@@ -117,8 +117,8 @@ func (k Kind) String() string {
 }
 
 // Message is the unit of communication. Payload is opaque to the transport;
-// higher layers encode into it (core's control structs with encoding/gob,
-// its data pieces and the collectives' frames in fixed binary layouts). A
+// higher layers encode into it (core's control structs, its data pieces and
+// the collectives' frames, all in fixed binary layouts). A
 // sender gives Payload up at Send (Endpoint, "Payload ownership").
 type Message struct {
 	Kind     Kind

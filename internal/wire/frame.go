@@ -66,7 +66,7 @@ func (r *Reader) Len() int { return len(r.buf) - r.off }
 
 func (r *Reader) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("wire: truncated frame: %s at offset %d of %d", what, r.off, len(r.buf))
+		r.err = fmt.Errorf("wire: truncated input: %s at offset %d of %d", what, r.off, len(r.buf))
 	}
 }
 
@@ -84,54 +84,44 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// take consumes the next n bytes, aliasing the buffer, or records what was
+// cut short and returns nil.
+func (r *Reader) take(n uint64, what string) []byte {
+	if r.err != nil || uint64(r.Len()) < n {
+		r.fail(what)
+		return nil
+	}
+	r.off += int(n)
+	return r.buf[r.off-int(n) : r.off : r.off]
+}
+
 // Byte decodes one byte.
 func (r *Reader) Byte() byte {
-	if r.err != nil || r.off >= len(r.buf) {
-		r.fail("byte")
-		return 0
+	if b := r.take(1, "byte"); b != nil {
+		return b[0]
 	}
-	b := r.buf[r.off]
-	r.off++
-	return b
+	return 0
 }
 
 // Uint32 decodes a fixed-width little-endian uint32.
 func (r *Reader) Uint32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail("uint32")
-		return 0
+	if b := r.take(4, "uint32"); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 
 // Uint64 decodes a fixed-width little-endian uint64.
 func (r *Reader) Uint64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail("uint64")
-		return 0
+	if b := r.take(8, "uint64"); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 
 // Bytes decodes a length-prefixed byte string. The result aliases the
 // reader's buffer: copy it if it outlives the buffer.
-func (r *Reader) Bytes() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if uint64(r.Len()) < n {
-		r.fail("bytes body")
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
+func (r *Reader) Bytes() []byte { return r.take(r.Uvarint(), "bytes body") }
 
 // String decodes a length-prefixed string, allocating. Use StringBytes with
 // an Interner on hot paths.

@@ -1,7 +1,8 @@
 // Package wire provides the small set of payload codecs shared by the
 // framework layers: a fast flat codec for []float64 (the bulk data type of
-// the coupled simulations) and gob helpers for control structures that must
-// cross the TCP transport.
+// the coupled simulations), Ctl, the symmetric field codec behind the
+// coupling protocol's fixed control layouts, the framing primitives of the
+// transport's binary frames, and gob helpers for checkpoints.
 package wire
 
 import (
@@ -53,8 +54,8 @@ func DecodeFloat64sInto(b []byte, vals []float64) error {
 	return nil
 }
 
-// Marshal gob-encodes v. It is used for low-rate control structures where
-// convenience beats speed.
+// Marshal gob-encodes v. It is used for low-rate structures (checkpoints)
+// where convenience beats speed.
 func Marshal(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
