@@ -14,17 +14,14 @@ package repro
 import (
 	"flag"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/buffer"
-	"repro/internal/collective"
 	"repro/internal/decomp"
 	"repro/internal/harness"
 	"repro/internal/match"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 var figFull = flag.Bool("figfull", false, "run paper-sized Figure 4 benchmarks (1001 exports)")
@@ -191,42 +188,6 @@ func BenchmarkWaveStep(b *testing.B) {
 		if err := s.Step(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkWaveStepOverlapped measures the split-phase halo-overlap step on
-// a 2-process 256x256 solve, against BenchmarkWaveStep's blocking exchange
-// (the non-blocking-transfer style the paper's conclusion points to).
-func BenchmarkWaveStepOverlapped(b *testing.B) {
-	const n, p = 256, 2
-	net := transport.NewMemNetwork()
-	defer net.Close()
-	l, _ := decomp.NewRowBlock(n, n, p)
-	solvers := make([]*sim.WaveSolver, p)
-	for r := 0; r < p; r++ {
-		ep, _ := net.Register(transport.Proc("W", r))
-		comm, _ := collective.New(transport.NewDispatcher(ep), "W", r, p)
-		s, err := sim.NewWaveSolver(comm, l, r, -1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s.SetInitial(func(x, y float64) float64 { return x * y }, func(x, y float64) float64 { return 0 })
-		solvers[r] = s
-	}
-	b.SetBytes(n * n * 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				if err := solvers[r].StepOverlapped(); err != nil {
-					b.Error(err)
-				}
-			}(r)
-		}
-		wg.Wait()
 	}
 }
 

@@ -21,15 +21,17 @@ import (
 	"repro/internal/sim"
 )
 
-func main() {
-	var (
-		n      = flag.Int("n", 32, "grid size")
-		strip  = flag.Int("strip", 4, "interface rows coupled")
-		epochs = flag.Int("epochs", 5, "coupling epochs")
-		ratio  = flag.Int("ratio", 10, "atmosphere steps per ocean epoch")
-	)
-	flag.Parse()
+var (
+	n      = flag.Int("n", 32, "grid size")
+	strip  = flag.Int("strip", 4, "interface rows coupled")
+	epochs = flag.Int("epochs", 5, "coupling epochs")
+	ratio  = flag.Int("ratio", 10, "atmosphere steps per ocean epoch")
+)
 
+func main() { flag.Parse(); run() }
+
+// run is the example; main wraps it so a test can check what it prints.
+func run() {
 	coupling := fmt.Sprintf(`
 atm   local builtin 2
 ocean local builtin 2

@@ -27,16 +27,18 @@ U local builtin 4
 F.f U.f REGL 2.5
 `
 
-func main() {
-	var (
-		n     = flag.Int("n", 64, "grid size (n x n interior points; paper: 1024)")
-		steps = flag.Int("steps", 200, "U solver steps")
-		every = flag.Int("every", 20, "U imports a fresh forcing every this many steps")
-		buddy = flag.Bool("buddy", true, "enable buddy-help")
-		slow  = flag.Duration("slow", 2*time.Millisecond, "extra per-export work of F's slow process")
-	)
-	flag.Parse()
+var (
+	n     = flag.Int("n", 64, "grid size (n x n interior points; paper: 1024)")
+	steps = flag.Int("steps", 200, "U solver steps")
+	every = flag.Int("every", 20, "U imports a fresh forcing every this many steps")
+	buddy = flag.Bool("buddy", true, "enable buddy-help")
+	slow  = flag.Duration("slow", 2*time.Millisecond, "extra per-export work of F's slow process")
+)
 
+func main() { flag.Parse(); run() }
+
+// run is the example; main wraps it so a test can check what it prints.
+func run() {
 	cfg, err := config.ParseString(coupling)
 	if err != nil {
 		log.Fatal(err)

@@ -36,13 +36,14 @@ heat local builtin 2
 src.q heat.q REGL 40
 `
 
+var (
+	n       = flag.Int("n", 48, "grid size")
+	epochs  = flag.Int("epochs", 6, "coarse coupling epochs")
+	ratio   = flag.Int("ratio", 100, "fine source ticks per coarse epoch")
+	slowDur = flag.Duration("slow", 500*time.Microsecond, "extra work of the slow source process")
+)
+
 func main() {
-	var (
-		n       = flag.Int("n", 48, "grid size")
-		epochs  = flag.Int("epochs", 6, "coarse coupling epochs")
-		ratio   = flag.Int("ratio", 100, "fine source ticks per coarse epoch")
-		slowDur = flag.Duration("slow", 500*time.Microsecond, "extra work of the slow source process")
-	)
 	flag.Parse()
 
 	withStats, err := run(*n, *epochs, *ratio, *slowDur, true)

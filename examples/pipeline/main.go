@@ -28,13 +28,15 @@ source.raw    filter.raw    REGL 1.0
 filter.smooth sink.smooth   REGL 2.0
 `
 
-func main() {
-	var (
-		n     = flag.Int("n", 32, "grid size")
-		ticks = flag.Int("ticks", 60, "source export count")
-	)
-	flag.Parse()
+var (
+	n     = flag.Int("n", 32, "grid size")
+	ticks = flag.Int("ticks", 60, "source export count")
+)
 
+func main() { flag.Parse(); run() }
+
+// run is the example; main wraps it so a test can check what it prints.
+func run() {
 	cfg, err := config.ParseString(coupling)
 	if err != nil {
 		log.Fatal(err)

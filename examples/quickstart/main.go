@@ -22,7 +22,10 @@ consumer local builtin 2
 producer.field consumer.field REGL 0.5
 `
 
-func main() {
+func main() { run() }
+
+// run is the example; main wraps it so a test can check what it prints.
+func run() {
 	cfg, err := config.ParseString(coupling)
 	if err != nil {
 		log.Fatal(err)

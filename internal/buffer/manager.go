@@ -260,20 +260,8 @@ func (m *Manager) Policy() match.Policy { return m.cfg.Policy }
 // Tolerance returns the connection's tolerance.
 func (m *Manager) Tolerance() float64 { return m.cfg.Tol }
 
-// NumBuffered returns the number of live buffered objects.
-func (m *Manager) NumBuffered() int { return len(m.entries) }
-
 // BufferedBytes returns the bytes held by live buffered objects.
 func (m *Manager) BufferedBytes() int64 { return m.bytes }
-
-// BufferedBytesFraction returns the fraction of a finite buffer in use
-// (0 when the buffer is unbounded).
-func (m *Manager) BufferedBytesFraction() float64 {
-	if m.cfg.MaxBytes <= 0 {
-		return 0
-	}
-	return float64(m.bytes) / float64(m.cfg.MaxBytes)
-}
 
 // Buffered reports whether a version with timestamp ts is held.
 func (m *Manager) Buffered(ts float64) bool {

@@ -3,7 +3,6 @@ package buffer
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -55,8 +54,8 @@ func TestNoRequestsBuffersEverything(t *testing.T) {
 			t.Fatalf("export %g not buffered with no requests", ts)
 		}
 	}
-	if m.NumBuffered() != 10 {
-		t.Errorf("buffered %d, want 10", m.NumBuffered())
+	if len(m.entries) != 10 {
+		t.Errorf("buffered %d, want 10", len(m.entries))
 	}
 	st := m.Stats()
 	if st.Copies != 10 || st.Skips != 0 || st.Exports != 10 {
@@ -132,8 +131,8 @@ func TestScenarioFigure7(t *testing.T) {
 		t.Fatalf("reply %v, want PENDING latest 3.6", res.Decision)
 	}
 	// Buffered 1.6..3.6 all lie below the region's lower bound 5.0: removed.
-	if m.NumBuffered() != 0 {
-		t.Fatalf("%d entries retained after request", m.NumBuffered())
+	if len(m.entries) != 0 {
+		t.Fatalf("%d entries retained after request", len(m.entries))
 	}
 	// Buddy-help: the final answer is MATCH D@9.6.
 	sends, err := m.OnFinal(res.ReqIndex, match.Match, 9.6)
@@ -214,8 +213,8 @@ func TestScenarioFigure8(t *testing.T) {
 		if !r.Buffered {
 			t.Fatalf("candidate %g not buffered", ts)
 		}
-		if m.NumBuffered() != 1 {
-			t.Fatalf("after %g: %d entries, want 1 (old candidate freed)", ts, m.NumBuffered())
+		if len(m.entries) != 1 {
+			t.Fatalf("after %g: %d entries, want 1 (old candidate freed)", ts, len(m.entries))
 		}
 		if len(r.Resolutions) != 0 {
 			t.Fatalf("premature resolution at %g: %v", ts, r.Resolutions)
@@ -288,8 +287,8 @@ func TestScenarioFigure5(t *testing.T) {
 	if res.Decision.Result != match.Pending || res.Decision.Latest != 14.6 {
 		t.Fatalf("reply %v", res.Decision)
 	}
-	if m.NumBuffered() != 0 {
-		t.Fatalf("%d buffered after request", m.NumBuffered())
+	if len(m.entries) != 0 {
+		t.Fatalf("%d buffered after request", len(m.entries))
 	}
 	// Line 8: buddy-help {D@20, MATCH, D@19.6}.
 	if _, err := m.OnFinal(res.ReqIndex, match.Match, 19.6); err != nil {
@@ -317,8 +316,8 @@ func TestScenarioFigure5(t *testing.T) {
 	if res2.Decision.Result != match.Pending || res2.Decision.Latest != 31.6 {
 		t.Fatalf("second reply %v", res2.Decision)
 	}
-	if m.NumBuffered() != 0 {
-		t.Fatalf("%d buffered after second request", m.NumBuffered())
+	if len(m.entries) != 0 {
+		t.Fatalf("%d buffered after second request", len(m.entries))
 	}
 	// Line 24: buddy-help {D@40, MATCH, D@39.6}.
 	if _, err := m.OnFinal(res2.ReqIndex, match.Match, 39.6); err != nil {
@@ -579,8 +578,8 @@ func TestFiniteBufferRecoversAfterFrees(t *testing.T) {
 	if _, err := m.OnRequest(10); err != nil {
 		t.Fatal(err)
 	}
-	if m.NumBuffered() != 0 {
-		t.Fatalf("%d entries after freeing request", m.NumBuffered())
+	if len(m.entries) != 0 {
+		t.Fatalf("%d entries after freeing request", len(m.entries))
 	}
 	if _, err := m.Offer(20, payload(20)); err != nil {
 		t.Fatalf("post-free offer: %v", err)
@@ -829,7 +828,7 @@ func TestAccessors(t *testing.T) {
 	if !m.Buffered(3) || m.Buffered(4) {
 		t.Error("Buffered lookup wrong")
 	}
-	if math.IsNaN(m.BufferedBytesFraction()) {
-		t.Error("fraction NaN")
+	if m.BufferedBytes() != 24 {
+		t.Errorf("buffered bytes %d, want 24 (one three-value version)", m.BufferedBytes())
 	}
 }

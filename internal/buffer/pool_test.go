@@ -240,7 +240,7 @@ func TestQuickByteAccountingWithPool(t *testing.T) {
 						want += int64(8 * sizeOf[key{j, ts}])
 					}
 				}
-				if mj.NumBuffered() != live || mj.BufferedBytes() != want {
+				if len(mj.entries) != live || mj.BufferedBytes() != want {
 					return false
 				}
 			}

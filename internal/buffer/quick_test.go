@@ -33,7 +33,7 @@ func opSequence(seed int64) bool {
 				want += 8 * 3
 			}
 		}
-		if live != m.NumBuffered() || want != m.BufferedBytes() {
+		if live != len(m.entries) || want != m.BufferedBytes() {
 			return false
 		}
 		st := m.Stats()
@@ -48,7 +48,7 @@ func opSequence(seed int64) bool {
 			return false
 		}
 		// Live entries + removed == copied.
-		if st.Copies-st.Removes != m.NumBuffered() {
+		if st.Copies-st.Removes != len(m.entries) {
 			return false
 		}
 		return true

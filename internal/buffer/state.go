@@ -83,10 +83,25 @@ func (m *Manager) State() ManagerState {
 // Restore rebuilds a freshly constructed manager from a checkpointed state.
 // Buffered versions go through the Config.Snapshot hook when one is set, so
 // fanned-out regions re-share physical copies exactly as they did before the
-// crash (and Release stays correctly paired).
+// crash (and Release stays correctly paired). The state may come from disk,
+// so it is checked first: entry and request timestamps strictly increase (as
+// State writes them) and every result is one the matcher can produce.
 func (m *Manager) Restore(st ManagerState) error {
 	if len(m.requests) != 0 || len(m.entries) != 0 || m.matcher.NumExports() != 0 {
 		return errors.New("buffer: Restore on a manager that is not fresh")
+	}
+	for i, es := range st.Entries {
+		if math.IsNaN(es.TS) || (i > 0 && es.TS <= st.Entries[i-1].TS) {
+			return fmt.Errorf("buffer: restore: entry timestamp %g not greater than the previous entry's", es.TS)
+		}
+	}
+	for i, rs := range st.Requests {
+		if math.IsNaN(rs.X) || (i > 0 && rs.X <= st.Requests[i-1].X) {
+			return fmt.Errorf("buffer: restore: request timestamp %g not greater than the previous request's", rs.X)
+		}
+		if rs.Result != match.Pending && rs.Result != match.Match && rs.Result != match.NoMatch {
+			return fmt.Errorf("buffer: restore: request %d has result %d", i, rs.Result)
+		}
 	}
 	if err := m.matcher.Restore(st.Exports); err != nil {
 		return err
@@ -106,10 +121,6 @@ func (m *Manager) Restore(st ManagerState) error {
 		m.bytes += int64(8 * len(es.Data))
 	}
 	for i, rs := range st.Requests {
-		if i > 0 && rs.X <= st.Requests[i-1].X {
-			return fmt.Errorf("buffer: restore: request timestamp %g not greater than previous %g",
-				rs.X, st.Requests[i-1].X)
-		}
 		r := &request{
 			index:    i,
 			x:        rs.X,

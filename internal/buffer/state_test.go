@@ -164,3 +164,41 @@ func statesEqual(a, b ManagerState) bool {
 	}
 	return true
 }
+
+// TestRestoreRejectsMalformedState: a checkpoint read from disk is outside
+// input. Two entries with one timestamp would leave one live entry while
+// BufferedBytes counts both (and leak the first pool buffer); a NaN
+// timestamp is a map key no lookup finds; a result the matcher never
+// produces has no meaning. Restore refuses each before touching the
+// manager.
+func TestRestoreRejectsMalformedState(t *testing.T) {
+	good := driveManager(t).State()
+	entry := EntryState{TS: 3, Data: []float64{1, 2, 3, 4}}
+	cases := map[string]func(st *ManagerState){
+		"duplicate entry": func(st *ManagerState) { st.Entries = []EntryState{entry, entry} },
+		"decreasing entries": func(st *ManagerState) {
+			st.Entries = []EntryState{entry, {TS: 2, Data: entry.Data}}
+		},
+		"NaN entry":        func(st *ManagerState) { st.Entries = []EntryState{{TS: math.NaN()}} },
+		"result 99":        func(st *ManagerState) { st.Requests[1].Result = 99 },
+		"repeated request": func(st *ManagerState) { st.Requests[1].X = st.Requests[0].X },
+		"NaN request":      func(st *ManagerState) { st.Requests[0].X = math.NaN() },
+	}
+	for name, corrupt := range cases {
+		st := good
+		st.Entries = append([]EntryState(nil), good.Entries...)
+		st.Requests = append([]RequestState(nil), good.Requests...)
+		corrupt(&st)
+		m, err := NewManager(Config{Policy: match.REGL, Tol: 2.5, Retain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Restore(st); err == nil {
+			t.Errorf("%s: accepted (%d entries, %d bytes buffered)", name, len(m.entries), m.BufferedBytes())
+		}
+		if len(m.entries) != 0 || m.BufferedBytes() != 0 || m.NumRequests() != 0 {
+			t.Errorf("%s: rejected state left %d entries, %d bytes, %d requests behind",
+				name, len(m.entries), m.BufferedBytes(), m.NumRequests())
+		}
+	}
+}

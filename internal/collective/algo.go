@@ -12,33 +12,25 @@ type Algo uint8
 
 const (
 	// RecursiveDoubling is the latency-optimal log2(n)-round pairwise
-	// exchange (AllReduce small vectors, Scan).
+	// exchange (AllReduce small vectors).
 	RecursiveDoubling Algo = iota
 	// Ring is the bandwidth-optimal ring: ReduceScatter+AllGather for
 	// AllReduce (Rabenseifner), block rotation for AllGather.
 	Ring
-	// Binomial is the binomial tree (Bcast, Reduce).
+	// Binomial is the binomial tree (Bcast).
 	Binomial
 	// BinomialSeg is the segmented, pipelined binomial tree (large Bcast).
 	BinomialSeg
 	// Linear is the naive root loop or full exchange, kept as the reference
 	// implementation every other algorithm is property-tested against.
 	Linear
-	// Pairwise is the pairwise exchange (AllToAll): step s trades with
-	// rank±s, spreading load across distinct pairs each round.
-	Pairwise
 	// Dissemination is the dissemination pattern (Barrier).
 	Dissemination
-	// Composed is an operation built from other collectives
-	// (ReduceScatter = Reduce + Scatter reference path).
-	Composed
 
-	numAlgos = int(Composed) + 1
+	numAlgos = int(Dissemination) + 1
 )
 
-var algoNames = [numAlgos]string{
-	"rd", "ring", "binomial", "binomial-seg", "linear", "pairwise", "dissem", "composed",
-}
+var algoNames = [numAlgos]string{"rd", "ring", "binomial", "binomial-seg", "linear", "dissem"}
 
 // String returns the short metric-label name ("rd", "ring", ...).
 func (a Algo) String() string {
@@ -48,30 +40,27 @@ func (a Algo) String() string {
 	return fmt.Sprintf("algo(%d)", uint8(a))
 }
 
-// opID indexes the collective operations for headers and instruments.
+// opID indexes the collective operations for headers and instruments. The
+// values are the header's op byte: the gaps are retired operations, kept
+// unused so no surviving operation's frames change.
 type opID uint8
 
 const (
-	opBarrier opID = iota
-	opBcast
-	opReduce
-	opAllReduce
-	opGather
-	opScatter
-	opAllGather
-	opAllToAll
-	opScan
-	opReduceScatter
+	opBarrier   opID = 0
+	opBcast     opID = 1
+	opAllReduce opID = 3
+	opGather    opID = 4
+	opAllGather opID = 6
 
-	numOps = int(opReduceScatter) + 1
+	numOps = int(opAllGather) + 1
 )
 
 // opTags are the static per-operation transport tags. Operation instances
 // are disambiguated by the payload header (sequence number), not the tag, so
 // no strings are built per call.
 var opTags = [numOps]string{
-	"barrier", "bcast", "reduce", "allreduce", "gather",
-	"scatter", "allgather", "alltoall", "scan", "reducescatter",
+	opBarrier: "barrier", opBcast: "bcast", opAllReduce: "allreduce",
+	opGather: "gather", opAllGather: "allgather",
 }
 
 // Every collective payload starts with an 8-byte little-endian header:
@@ -108,29 +97,22 @@ type Table struct {
 	// AllReduceRingBytes: vectors at least this large use the ring
 	// (Rabenseifner) AllReduce; smaller ones use recursive doubling.
 	AllReduceRingBytes int
-	// ReduceScatterRingBytes: inputs at least this large use the ring
-	// reduce-scatter; smaller ones the Reduce+Scatter composition.
-	ReduceScatterRingBytes int
 	// BcastSegBytes: payloads at least this large use the segmented,
 	// pipelined binomial broadcast with BcastSegSize-byte segments.
 	BcastSegBytes int
 	BcastSegSize  int
 	// AllGatherRingRanks: groups at least this large use the ring AllGather.
 	AllGatherRingRanks int
-	// AllToAllPairwiseSize: groups at least this large use pairwise exchange.
-	AllToAllPairwiseSize int
 }
 
 // DefaultTable returns the static thresholds: conservative crossovers for
 // the in-memory transport.
 func DefaultTable() *Table {
 	return &Table{
-		AllReduceRingBytes:     32 << 10,
-		ReduceScatterRingBytes: 32 << 10,
-		BcastSegBytes:          256 << 10,
-		BcastSegSize:           64 << 10,
-		AllGatherRingRanks:     5,
-		AllToAllPairwiseSize:   4,
+		AllReduceRingBytes: 32 << 10,
+		BcastSegBytes:      256 << 10,
+		BcastSegSize:       64 << 10,
+		AllGatherRingRanks: 5,
 	}
 }
 
@@ -145,23 +127,9 @@ func (t *Table) allReduceAlgo(size, bytes int) Algo {
 	return RecursiveDoubling
 }
 
-func (t *Table) reduceScatterAlgo(size, bytes int) Algo {
-	if size > 1 && size <= maxRingRanks && bytes >= t.ReduceScatterRingBytes {
-		return Ring
-	}
-	return Composed
-}
-
 func (t *Table) allGatherAlgo(size int) Algo {
 	if size >= t.AllGatherRingRanks && size <= maxRingRanks {
 		return Ring
-	}
-	return Linear
-}
-
-func (t *Table) allToAllAlgo(size int) Algo {
-	if size >= t.AllToAllPairwiseSize {
-		return Pairwise
 	}
 	return Linear
 }

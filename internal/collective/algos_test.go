@@ -14,26 +14,42 @@ import (
 // forcedTable is how a test forces an algorithm: under it every operation
 // that implements a runs it whatever the input (a's thresholds are 0) and
 // every other operation takes its reference path (all other thresholds are
-// math.MaxInt: recursive doubling, Composed, Linear, single-segment
-// Binomial). BcastSegSize stays at its default.
+// math.MaxInt: recursive doubling, Linear, single-segment Binomial).
+// BcastSegSize stays at its default.
 func forcedTable(a Algo) *Table {
 	t := &Table{
-		AllReduceRingBytes:     math.MaxInt,
-		ReduceScatterRingBytes: math.MaxInt,
-		BcastSegBytes:          math.MaxInt,
-		BcastSegSize:           DefaultTable().BcastSegSize,
-		AllGatherRingRanks:     math.MaxInt,
-		AllToAllPairwiseSize:   math.MaxInt,
+		AllReduceRingBytes: math.MaxInt,
+		BcastSegBytes:      math.MaxInt,
+		BcastSegSize:       DefaultTable().BcastSegSize,
+		AllGatherRingRanks: math.MaxInt,
 	}
 	switch a {
 	case Ring:
-		t.AllReduceRingBytes, t.ReduceScatterRingBytes, t.AllGatherRingRanks = 0, 0, 0
+		t.AllReduceRingBytes, t.AllGatherRingRanks = 0, 0
 	case BinomialSeg:
 		t.BcastSegBytes = 0
-	case Pairwise:
-		t.AllToAllPairwiseSize = 0
 	}
 	return t
+}
+
+// reduceScatter runs the ring AllReduce's reduce-scatter phase alone, as one
+// operation every rank enters, and returns this rank's fully reduced block.
+func reduceScatter(c *Comm, local []float64, op Op) ([]float64, error) {
+	acc := append([]float64(nil), local...)
+	algo := Ring
+	err := c.run(opAllReduce, &algo, func(seq uint32) error {
+		return c.ringReduceScatterPhase(seq, acc, op)
+	})
+	lo, hi := blockRange(len(acc), c.size, c.rank)
+	return acc[lo:hi], err
+}
+
+// prod is a caller-supplied operator whose result depends on every factor's
+// mantissa, so a fold that drops or repeats a contribution shows.
+func prod(acc, src []float64) {
+	for i := range acc {
+		acc[i] *= src[i]
+	}
 }
 
 // force installs forcedTable(a) and returns c, so a forced call reads
@@ -57,7 +73,7 @@ func exactVec(rng *rand.Rand, n int) []float64 {
 
 // pow2Vec returns values from {±0.5, ±1, ±2}: their products are powers of
 // two, exact under any combining order (sums of dyadics are not enough for
-// Prod, whose result mantissa grows with every factor).
+// prod, whose result mantissa grows with every factor).
 func pow2Vec(rng *rand.Rand, n int) []float64 {
 	choices := []float64{0.5, 1, 2, -0.5, -1, -2}
 	v := make([]float64, n)
@@ -70,7 +86,7 @@ func pow2Vec(rng *rand.Rand, n int) []float64 {
 var allOps = []struct {
 	name string
 	op   Op
-}{{"sum", Sum}, {"prod", Prod}, {"max", Max}, {"min", Min}}
+}{{"sum", Sum}, {"prod", prod}, {"max", Max}, {"min", Min}}
 
 // TestAllReduceAlgosBitIdentical pits the ring (Rabenseifner) AllReduce
 // against recursive doubling and the sequential oracle across group sizes
@@ -131,8 +147,10 @@ func TestAllReduceAlgosBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReduceScatterRingMatchesComposed checks the ring reduce-scatter
-// against the Reduce+Scatter reference for divisible lengths.
+// TestReduceScatterRingMatchesComposed checks the ring reduce-scatter phase
+// against the recursive-doubling AllReduce and the sequential oracle: the
+// block each rank owns after the phase is bit-identical to that block of
+// the full reduction.
 func TestReduceScatterRingMatchesComposed(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8} {
 		for _, per := range []int{1, 3, 16} {
@@ -146,18 +164,22 @@ func TestReduceScatterRingMatchesComposed(t *testing.T) {
 				full := oracleFold(contribs, Sum)
 				runGroup(t, n, func(c *Comm) error {
 					want := full[c.Rank()*per : (c.Rank()+1)*per]
-					ring, err := c.force(Ring).ReduceScatter(contribs[c.Rank()], Sum)
+					ring, err := reduceScatter(c, contribs[c.Rank()], Sum)
 					if err != nil {
 						return err
 					}
-					composed, err := c.force(Composed).ReduceScatter(contribs[c.Rank()], Sum)
+					rd, err := c.force(RecursiveDoubling).AllReduce(contribs[c.Rank()], Sum)
 					if err != nil {
 						return err
+					}
+					rd = rd[c.Rank()*per : (c.Rank()+1)*per]
+					if len(ring) != per {
+						return fmt.Errorf("rank %d: block of %d, want %d", c.Rank(), len(ring), per)
 					}
 					for i := range want {
-						if ring[i] != want[i] || composed[i] != want[i] {
-							return fmt.Errorf("rank %d elem %d: ring=%v composed=%v want %v",
-								c.Rank(), i, ring[i], composed[i], want[i])
+						if ring[i] != want[i] || rd[i] != want[i] {
+							return fmt.Errorf("rank %d elem %d: ring=%v rd=%v want %v",
+								c.Rank(), i, ring[i], rd[i], want[i])
 						}
 					}
 					return nil
@@ -208,20 +230,15 @@ func TestBcastSegmented(t *testing.T) {
 	}
 }
 
-// TestAllGatherAllToAllAlgos checks ring AllGather and pairwise AllToAll
-// against their linear references.
+// TestAllGatherAllToAllAlgos checks ring AllGather against its linear
+// reference, and both against Gather at every root.
 func TestAllGatherAllToAllAlgos(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5, 8, 13} {
 		n := n
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7 * n)))
-			parts := make([][][]byte, n) // parts[src][dst]
-			own := make([][]byte, n)     // allgather contribution per rank
-			for r := range parts {
-				parts[r] = make([][]byte, n)
-				for d := range parts[r] {
-					parts[r][d] = []byte(fmt.Sprintf("%d->%d:%d", r, d, rng.Intn(1000)))
-				}
+			own := make([][]byte, n) // allgather contribution per rank
+			for r := range own {
 				own[r] = make([]byte, rng.Intn(30))
 				rng.Read(own[r])
 			}
@@ -239,17 +256,15 @@ func TestAllGatherAllToAllAlgos(t *testing.T) {
 						return fmt.Errorf("rank %d allgather slot %d mismatch", c.Rank(), r)
 					}
 				}
-				pw, err := c.force(Pairwise).AllToAll(parts[c.Rank()])
-				if err != nil {
-					return err
-				}
-				ll, err := c.force(Linear).AllToAll(parts[c.Rank()])
-				if err != nil {
-					return err
-				}
-				for r := 0; r < n; r++ {
-					if !bytes.Equal(pw[r], parts[r][c.Rank()]) || !bytes.Equal(ll[r], parts[r][c.Rank()]) {
-						return fmt.Errorf("rank %d alltoall from %d mismatch", c.Rank(), r)
+				for root := 0; root < n; root++ {
+					g, err := c.Gather(root, own[c.Rank()])
+					if err != nil {
+						return err
+					}
+					for r := 0; r < n && c.Rank() == root; r++ {
+						if !bytes.Equal(g[r], own[r]) {
+							return fmt.Errorf("root %d gather slot %d mismatch", root, r)
+						}
 					}
 				}
 				return nil
@@ -280,21 +295,6 @@ func TestNoAliasContracts(t *testing.T) {
 				}
 			}
 
-			parts := make([][]byte, n)
-			for r := range parts {
-				parts[r] = []byte{byte(c.Rank()), byte(r)}
-			}
-			out, err := c.AllToAll(parts)
-			if err != nil {
-				return err
-			}
-			parts[c.Rank()][0] = 0xEE
-			for r := range out {
-				if !bytes.Equal(out[r], []byte{byte(r), byte(c.Rank())}) {
-					return fmt.Errorf("round %d: alltoall entry %d = %v (self-entry aliases caller part, or a scribbled result came back)", round, r, out[r])
-				}
-			}
-
 			mine := []byte{9, byte(c.Rank())}
 			ag, err := c.AllGather(mine)
 			if err != nil {
@@ -305,24 +305,6 @@ func TestNoAliasContracts(t *testing.T) {
 				if !bytes.Equal(ag[r], []byte{9, byte(r)}) {
 					return fmt.Errorf("round %d: allgather entry %d = %v (self-entry aliases caller part, or a scribbled result came back)", round, r, ag[r])
 				}
-			}
-
-			var sparts [][]byte
-			if c.Rank() == 1 {
-				sparts = make([][]byte, n)
-				for r := range sparts {
-					sparts[r] = []byte{byte(r), 7}
-				}
-			}
-			sp, err := c.Scatter(1, sparts)
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 1 {
-				sparts[1][0] = 0xCC
-			}
-			if !bytes.Equal(sp, []byte{byte(c.Rank()), 7}) {
-				return fmt.Errorf("round %d: scatter part = %v (root part aliases caller slice, or a scribbled result came back)", round, sp)
 			}
 
 			bc, err := c.Bcast(2, []byte{4, 5, 6})
@@ -346,7 +328,7 @@ func TestNoAliasContracts(t *testing.T) {
 			if c.Rank() != 2 {
 				all = append(all, bc) // rank 2's is its own input
 			}
-			for _, p := range append(append(append(all, sp), out...), ag...) {
+			for _, p := range append(all, ag...) {
 				for i := range p {
 					p[i] = 0x5A
 				}
@@ -360,16 +342,14 @@ func TestNoAliasContracts(t *testing.T) {
 // TestDispatchByTable puts one input on each side of every Table threshold
 // and reads the choice back through the per-(op, algo) histogram counts, so
 // the instrument label is proven to be the algorithm that ran — on every
-// rank, including Bcast's receivers, which learn it from segment 0. The two
-// size thresholds take two group sizes; the byte thresholds two inputs.
+// rank, including Bcast's receivers, which learn it from segment 0. The
+// group-size threshold takes two group sizes; the byte thresholds two inputs.
 func TestDispatchByTable(t *testing.T) {
 	tab := Table{
-		AllReduceRingBytes:     8 * 16,
-		ReduceScatterRingBytes: 8 * 24,
-		BcastSegBytes:          128,
-		BcastSegSize:           256,
-		AllGatherRingRanks:     4,
-		AllToAllPairwiseSize:   4,
+		AllReduceRingBytes: 8 * 16,
+		BcastSegBytes:      128,
+		BcastSegSize:       256,
+		AllGatherRingRanks: 4,
 	}
 	for _, n := range []int{3, 4} {
 		reg := obsv.NewRegistry()
@@ -382,11 +362,6 @@ func TestDispatchByTable(t *testing.T) {
 					return err
 				}
 			}
-			for _, floats := range []int{12, 48} { // 96 B composed, 384 B ring
-				if _, err := c.ReduceScatter(make([]float64, floats), Sum); err != nil {
-					return err
-				}
-			}
 			// Below BcastSegBytes; past it but within one BcastSegSize
 			// segment; past both.
 			for _, size := range []int{64, 200, 1000} {
@@ -394,22 +369,17 @@ func TestDispatchByTable(t *testing.T) {
 					return err
 				}
 			}
-			if _, err := c.AllGather([]byte{1}); err != nil {
-				return err
-			}
-			_, err := c.AllToAll(make([][]byte, n))
+			_, err := c.AllGather([]byte{1})
 			return err
 		})
 		want := map[string]uint64{
 			"allreduce.rd": 1, "allreduce.ring": 1,
-			"reducescatter.composed": 1, "reducescatter.ring": 1,
-			"reduce.binomial": 1, "scatter.linear": 1, // inside the Composed ReduceScatter
 			"bcast.binomial": 2, "bcast.binomial-seg": 1,
 		}
 		if n < 4 {
-			want["allgather.linear"], want["alltoall.linear"] = 1, 1
+			want["allgather.linear"] = 1
 		} else {
-			want["allgather.ring"], want["alltoall.pairwise"] = 1, 1
+			want["allgather.ring"] = 1
 		}
 		for _, p := range opAlgoPairs {
 			name := opTags[p.op] + "." + p.algo.String()
@@ -453,12 +423,12 @@ func TestMixedSequenceForcedAlgos(t *testing.T) {
 			if c.Rank() == i%n && len(g) != n {
 				return fmt.Errorf("iter %d: gather %d slots", i, len(g))
 			}
-			rs, err := c.force(Ring).ReduceScatter(make([]float64, n), Sum)
+			rs, err := reduceScatter(c, make([]float64, n), Sum)
 			if err != nil {
 				return err
 			}
 			if len(rs) != 1 {
-				return fmt.Errorf("iter %d: reducescatter %d", i, len(rs))
+				return fmt.Errorf("iter %d: reduce-scatter block %d", i, len(rs))
 			}
 		}
 		return nil

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // runGroup creates a size-process group over an in-memory network and runs fn
@@ -55,6 +56,46 @@ func runGroupOn(t *testing.T, net transport.Network, size int, fn func(c *Comm) 
 }
 
 var groupSizes = []int{1, 2, 3, 4, 5, 7, 8, 16}
+
+// gatherFold is the reference AllReduce composed of the other collectives:
+// Gather every contribution at root, fold there in rank order, Bcast the
+// result.
+func gatherFold(c *Comm, root int, local []float64, op Op) ([]float64, error) {
+	parts, err := c.Gather(root, wire.EncodeFloat64s(local))
+	if err != nil {
+		return nil, err
+	}
+	var enc []byte
+	if c.Rank() == root {
+		contribs := make([][]float64, len(parts))
+		for r, p := range parts {
+			if contribs[r], err = wire.DecodeFloat64s(p); err != nil {
+				return nil, err
+			}
+		}
+		enc = wire.EncodeFloat64s(oracleFold(contribs, op))
+	}
+	b, err := c.Bcast(root, enc)
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeFloat64s(b)
+}
+
+// rdAndRing runs AllReduce forced to recursive doubling and to the ring and
+// fails unless both equal want bit for bit.
+func rdAndRing(c *Comm, local []float64, op Op, want []float64) error {
+	for _, a := range []Algo{RecursiveDoubling, Ring} {
+		got, err := c.force(a).AllReduce(local, op)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("rank %d %s: %v, want %v", c.Rank(), a, got, want)
+		}
+	}
+	return nil
+}
 
 func TestNewValidation(t *testing.T) {
 	net := transport.NewMemNetwork()
@@ -141,6 +182,8 @@ func TestBcastBadRoot(t *testing.T) {
 	})
 }
 
+// TestReduceSum: recursive doubling and the ring both sum every rank's
+// vector, and agree with the Gather+Bcast composition.
 func TestReduceSum(t *testing.T) {
 	for _, n := range groupSizes {
 		n := n
@@ -149,33 +192,31 @@ func TestReduceSum(t *testing.T) {
 			wantA := float64(n * (n - 1) / 2)
 			runGroup(t, n, func(c *Comm) error {
 				r := float64(c.Rank())
-				res, err := c.Reduce(0, []float64{r, 2 * r}, Sum)
+				ref, err := gatherFold(c, 0, []float64{r, 2 * r}, Sum)
 				if err != nil {
 					return err
 				}
-				if c.Rank() == 0 {
-					if res[0] != wantA || res[1] != 2*wantA {
-						return fmt.Errorf("got %v, want [%v %v]", res, wantA, 2*wantA)
-					}
-				} else if res != nil {
-					return fmt.Errorf("non-root got non-nil %v", res)
+				if ref[0] != wantA || ref[1] != 2*wantA {
+					return fmt.Errorf("gather+bcast got %v, want [%v %v]", ref, wantA, 2*wantA)
 				}
-				return nil
+				return rdAndRing(c, []float64{r, 2 * r}, Sum, ref)
 			})
 		})
 	}
 }
 
+// TestReduceNonzeroRoot: the Gather+Bcast composition rooted away from rank
+// 0 agrees with AllReduce.
 func TestReduceNonzeroRoot(t *testing.T) {
 	runGroup(t, 6, func(c *Comm) error {
-		res, err := c.Reduce(4, []float64{1}, Sum)
+		res, err := gatherFold(c, 4, []float64{1}, Sum)
 		if err != nil {
 			return err
 		}
-		if c.Rank() == 4 && res[0] != 6 {
-			return fmt.Errorf("root got %v", res)
+		if res[0] != 6 {
+			return fmt.Errorf("rank %d got %v", c.Rank(), res)
 		}
-		return nil
+		return rdAndRing(c, []float64{1}, Sum, res)
 	})
 }
 
@@ -186,7 +227,7 @@ func TestReduceOps(t *testing.T) {
 		want float64 // over ranks 0..3 with contribution rank+1
 	}{
 		{"sum", Sum, 10},
-		{"prod", Prod, 24},
+		{"prod", prod, 24},
 		{"max", Max, 4},
 		{"min", Min, 1},
 	}
@@ -194,14 +235,14 @@ func TestReduceOps(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			runGroup(t, 4, func(c *Comm) error {
-				v, err := c.ReduceScalar(0, float64(c.Rank()+1), tc.op)
+				v, err := c.AllReduceScalar(float64(c.Rank()+1), tc.op)
 				if err != nil {
 					return err
 				}
-				if c.Rank() == 0 && v != tc.want {
+				if v != tc.want {
 					return fmt.Errorf("got %v want %v", v, tc.want)
 				}
-				return nil
+				return rdAndRing(c, []float64{float64(c.Rank() + 1)}, tc.op, []float64{tc.want})
 			})
 		})
 	}
@@ -271,23 +312,28 @@ func TestGather(t *testing.T) {
 	}
 }
 
+// TestScatter: Gather rooted at the last rank delivers every rank's part
+// there, in rank order, and nil elsewhere.
 func TestScatter(t *testing.T) {
 	for _, n := range groupSizes {
 		n := n
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			root := n - 1
 			runGroup(t, n, func(c *Comm) error {
-				var parts [][]byte
-				if c.Rank() == 0 {
-					for r := 0; r < n; r++ {
-						parts = append(parts, []byte(fmt.Sprintf("piece-%d", r)))
-					}
-				}
-				mine, err := c.Scatter(0, parts)
+				all, err := c.Gather(root, []byte(fmt.Sprintf("piece-%d", c.Rank())))
 				if err != nil {
 					return err
 				}
-				if string(mine) != fmt.Sprintf("piece-%d", c.Rank()) {
-					return fmt.Errorf("got %q", mine)
+				if c.Rank() != root {
+					if all != nil {
+						return fmt.Errorf("non-root got %q", all)
+					}
+					return nil
+				}
+				for r := 0; r < n; r++ {
+					if string(all[r]) != fmt.Sprintf("piece-%d", r) {
+						return fmt.Errorf("slot %d = %q", r, all[r])
+					}
 				}
 				return nil
 			})
@@ -295,10 +341,18 @@ func TestScatter(t *testing.T) {
 	}
 }
 
+// TestScatterWrongPartCount: Gather and AllGather return exactly one part
+// per rank, and a root outside the group is rejected on every rank.
 func TestScatterWrongPartCount(t *testing.T) {
-	runGroup(t, 1, func(c *Comm) error {
-		if _, err := c.Scatter(0, [][]byte{nil, nil}); err == nil {
-			return fmt.Errorf("wrong part count accepted")
+	runGroup(t, 3, func(c *Comm) error {
+		if _, err := c.Gather(3, nil); err == nil {
+			return fmt.Errorf("gather root 3 of 3 accepted")
+		}
+		if g, err := c.Gather(1, nil); err != nil || (c.Rank() == 1) != (len(g) == 3) {
+			return fmt.Errorf("gather: %d parts, %v", len(g), err)
+		}
+		if ag, err := c.AllGather(nil); err != nil || len(ag) != 3 {
+			return fmt.Errorf("allgather: %d parts, %v", len(ag), err)
 		}
 		return nil
 	})
@@ -306,24 +360,19 @@ func TestScatterWrongPartCount(t *testing.T) {
 
 // TestRejectedCallTakesOneSeq pins the rule of Comm.run: a call that rejects
 // its arguments has already taken its sequence number — exactly one — so a
-// rank that rejects (Scatter's part count is checked on the root only) stays
-// aligned with peers that did not. Every rejection precedes communication,
-// so rank 0 of a group of two can be driven alone.
+// rank that rejects stays aligned with peers that did not. Every rejection
+// precedes communication, so rank 0 of a group of two can be driven alone.
 func TestRejectedCallTakesOneSeq(t *testing.T) {
 	_, comms, _ := ftGroup(t, 2, time.Second)
 	c := comms[0]
-	v := []float64{1, 2, 3}
 	cases := []struct {
 		name string
 		call func() error
 	}{
-		{"reduce/bad-root", func() error { _, err := c.Reduce(2, v, Sum); return err }},
 		{"bcast/bad-root", func() error { _, err := c.Bcast(-1, nil); return err }},
+		{"bcast/bad-root-high", func() error { _, err := c.Bcast(2, nil); return err }},
 		{"gather/bad-root", func() error { _, err := c.Gather(2, nil); return err }},
-		{"scatter/bad-root", func() error { _, err := c.Scatter(-1, nil); return err }},
-		{"scatter/part-count", func() error { _, err := c.Scatter(0, make([][]byte, 3)); return err }},
-		{"alltoall/part-count", func() error { _, err := c.AllToAll(make([][]byte, 1)); return err }},
-		{"reducescatter/indivisible", func() error { _, err := c.ReduceScatter(v, Sum); return err }},
+		{"gather/bad-root-low", func() error { _, err := c.Gather(-1, nil); return err }},
 	}
 	for _, tc := range cases {
 		before := c.opSeq
@@ -356,23 +405,22 @@ func TestAllGather(t *testing.T) {
 	}
 }
 
+// TestAllToAll: every rank's AllGather result holds each rank's own
+// multi-byte part, under both the linear exchange and the ring.
 func TestAllToAll(t *testing.T) {
 	for _, n := range groupSizes {
 		n := n
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			runGroup(t, n, func(c *Comm) error {
-				parts := make([][]byte, n)
-				for r := 0; r < n; r++ {
-					parts[r] = []byte(fmt.Sprintf("%d->%d", c.Rank(), r))
-				}
-				got, err := c.AllToAll(parts)
-				if err != nil {
-					return err
-				}
-				for r := 0; r < n; r++ {
-					want := fmt.Sprintf("%d->%d", r, c.Rank())
-					if string(got[r]) != want {
-						return fmt.Errorf("from %d: %q want %q", r, got[r], want)
+				for _, a := range []Algo{Linear, Ring} {
+					got, err := c.force(a).AllGather([]byte(fmt.Sprintf("%d->all", c.Rank())))
+					if err != nil {
+						return err
+					}
+					for r := 0; r < n; r++ {
+						if want := fmt.Sprintf("%d->all", r); string(got[r]) != want {
+							return fmt.Errorf("%s from %d: %q want %q", a, r, got[r], want)
+						}
 					}
 				}
 				return nil
@@ -384,12 +432,13 @@ func TestAllToAll(t *testing.T) {
 func TestPointToPoint(t *testing.T) {
 	runGroup(t, 2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			if err := c.SendFloats(1, "halo", []float64{3.5, 4.5}); err != nil {
-				return err
-			}
-			return nil
+			return c.Send(1, "halo", wire.EncodeFloat64s([]float64{3.5, 4.5}))
 		}
-		vals, err := c.RecvFloats(0, "halo")
+		b, err := c.Recv(0, "halo")
+		if err != nil {
+			return err
+		}
+		vals, err := wire.DecodeFloat64s(b)
 		if err != nil {
 			return err
 		}
@@ -512,7 +561,7 @@ func TestReduceScalarOnTCP(t *testing.T) {
 }
 
 // TestAllReduceEquivalence checks the recursive-doubling AllReduce against
-// the classic Reduce-to-root + Bcast composition it replaced, across the
+// a Gather-to-root + Bcast composition, across the
 // size matrix (power-of-two sizes exercise the plain doubling sweep, the
 // others the remainder pre/post fold — 3 and 5 maximize the remainder, 6
 // and 12 exercise even remainders, 7 is pow2-1) and across ops.
@@ -539,28 +588,15 @@ func TestAllReduceEquivalence(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					// Reference: the reduce+bcast composition on the same
+					// Reference: the gather+bcast composition on the same
 					// contributions.
-					ref, err := c.Reduce(0, local, tc.op)
+					ref, err := gatherFold(c, 0, local, tc.op)
 					if err != nil {
 						return err
 					}
-					if c.Rank() == 0 {
-						if _, err := c.Bcast(0, encodeFloats(ref)); err != nil {
-							return err
-						}
-					} else {
-						b, err := c.Bcast(0, nil)
-						if err != nil {
-							return err
-						}
-						if ref, err = c.decodeSameLen(b, len(local)); err != nil {
-							return err
-						}
-					}
 					for i := range got {
 						if got[i] != ref[i] {
-							return fmt.Errorf("rank %d elem %d: AllReduce %v, Reduce+Bcast %v", c.Rank(), i, got, ref)
+							return fmt.Errorf("rank %d elem %d: AllReduce %v, Gather+Bcast %v", c.Rank(), i, got, ref)
 						}
 					}
 					return nil

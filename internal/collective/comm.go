@@ -1,7 +1,7 @@
 // Package collective implements the collective-operation substrate the
 // paper's title refers to: process groups with ranks and the classic SPMD
-// collectives (barrier, broadcast, reduce, allreduce, gather, allgather,
-// scatter, alltoall), built on the transport layer the way MPI builds them on
+// collectives the coupled programs use (barrier, broadcast, allreduce,
+// gather, allgather), built on the transport layer the way MPI builds them on
 // point-to-point messaging.
 //
 // Every process of a parallel program holds a Comm. Collective calls must be
@@ -164,9 +164,6 @@ func (c *Comm) SetRing(ring *obsv.Ring) { c.ring = ring }
 // Instruments returns the attached instruments (possibly nil).
 func (c *Comm) Instruments() *Instruments { return c.ins }
 
-// Table returns the dispatch table in effect.
-func (c *Comm) Table() *Table { return c.table }
-
 // SetTable installs a dispatch table (nil restores the defaults). All ranks
 // of a group must install identical tables at the same point of their
 // collective sequence — dispatch decisions are made independently per rank
@@ -226,7 +223,7 @@ func (c *Comm) deadline() <-chan time.Time {
 // Every rank executes the same collective sequence, so the per-Comm counter
 // alone identifies the operation instance on all ranks; it advances before
 // body can reject an argument, so a rank that rejects stays aligned with
-// peers that did not (Scatter's part count is checked on the root only).
+// peers that did not (a bad root is rejected before any message moves).
 // algo is read after body because Bcast receivers learn the algorithm from
 // segment 0. The clock is read only when instruments are attached.
 func (c *Comm) run(op opID, algo *Algo, body func(seq uint32) error) error {
@@ -405,18 +402,4 @@ func (c *Comm) Recv(from int, tag string) ([]byte, error) {
 		}
 		c.pointPending = append(c.pointPending, m)
 	}
-}
-
-// SendFloats sends a float64 slice point-to-point.
-func (c *Comm) SendFloats(to int, tag string, vals []float64) error {
-	return c.Send(to, tag, encodeFloats(vals))
-}
-
-// RecvFloats receives a float64 slice point-to-point.
-func (c *Comm) RecvFloats(from int, tag string) ([]float64, error) {
-	b, err := c.Recv(from, tag)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFloats(b)
 }

@@ -136,12 +136,10 @@ func opMix(n int) func(c *Comm) error {
 				return fmt.Errorf("allgather entry %d = %v", r, all[r])
 			}
 		}
-		if _, err := c.Scan([]float64{1}, Sum); err != nil {
+		if _, err := c.force(Ring).AllGather(part); err != nil {
 			return err
 		}
-		if _, err := c.ReduceScatter(make([]float64, n*3), Sum); err != nil {
-			return err
-		}
+		c.SetTable(nil)
 		return c.Barrier()
 	}
 }

@@ -188,17 +188,6 @@ func epochDelta(payload []byte, epoch uint8) int {
 // Epoch returns this Comm's group epoch (bumped by every Shrink).
 func (c *Comm) Epoch() uint8 { return c.epoch }
 
-// Revoked reports whether this communicator has been revoked.
-func (c *Comm) Revoked() bool { return c.revoked }
-
-// Suspects returns the locally suspected ranks (current group numbering).
-func (c *Comm) Suspects() []int {
-	if c.suspects == nil {
-		return nil
-	}
-	return c.suspects.ranks()
-}
-
 // BaseRank translates a current-group rank to its original pre-Shrink
 // transport rank (identity on a never-shrunk group). Applications whose
 // data placement was keyed by the original numbering use it to keep
@@ -352,18 +341,6 @@ func (c *Comm) park(m transport.Message) {
 		return
 	}
 	c.pending = append(c.pending, m)
-}
-
-// PendingLen returns the parked collective-frame count (for tests and
-// status pages).
-func (c *Comm) PendingLen() int { return len(c.pending) }
-
-// SetPendingCap bounds the parked-frame list (<= 0 restores the default).
-func (c *Comm) SetPendingCap(n int) {
-	if n <= 0 {
-		n = defaultPendingCap
-	}
-	c.pendingCap = n
 }
 
 // Agreement wire format: after the 8-byte header (seq = per-Comm agreement

@@ -17,18 +17,11 @@ var opAlgoPairs = []struct {
 	{opBarrier, Dissemination},
 	{opBcast, Binomial},
 	{opBcast, BinomialSeg},
-	{opReduce, Binomial},
 	{opAllReduce, RecursiveDoubling},
 	{opAllReduce, Ring},
 	{opGather, Linear},
-	{opScatter, Linear},
 	{opAllGather, Linear},
 	{opAllGather, Ring},
-	{opAllToAll, Linear},
-	{opAllToAll, Pairwise},
-	{opScan, RecursiveDoubling},
-	{opReduceScatter, Composed},
-	{opReduceScatter, Ring},
 }
 
 // Instruments holds the per-operation, per-algorithm latency histograms
@@ -81,14 +74,6 @@ func (ins *Instruments) pooled(hit, miss uint64, bytes int) {
 		ins.poolMisses.Add(miss)
 		ins.poolBytes.Add(int64(bytes))
 	}
-}
-
-// FailureCount returns one fault-tolerance counter's value.
-func (ins *Instruments) FailureCount(ctr int) uint64 {
-	if ins == nil {
-		return 0
-	}
-	return ins.failures[ctr].Load()
 }
 
 // NewInstruments registers (or looks up) the collective instrument catalog

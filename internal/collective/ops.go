@@ -1,11 +1,6 @@
 package collective
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/wire"
-)
+import "math"
 
 // Op is a commutative, associative elementwise reduction operator. It folds
 // src into acc (both same length).
@@ -15,13 +10,6 @@ type Op func(acc, src []float64)
 func Sum(acc, src []float64) {
 	for i := range acc {
 		acc[i] += src[i]
-	}
-}
-
-// Prod multiplies acc by src elementwise.
-func Prod(acc, src []float64) {
-	for i := range acc {
-		acc[i] *= src[i]
 	}
 }
 
@@ -37,20 +25,4 @@ func Min(acc, src []float64) {
 	for i := range acc {
 		acc[i] = math.Min(acc[i], src[i])
 	}
-}
-
-func errf(format string, args ...any) error { return fmt.Errorf(format, args...) }
-
-func encodeFloats(vals []float64) []byte       { return wire.EncodeFloat64s(vals) }
-func decodeFloats(b []byte) ([]float64, error) { return wire.DecodeFloat64s(b) }
-
-func (c *Comm) decodeSameLen(b []byte, n int) ([]float64, error) {
-	vals, err := decodeFloats(b)
-	if err != nil {
-		return nil, err
-	}
-	if len(vals) != n {
-		return nil, fmt.Errorf("collective: peer contributed %d values, local has %d", len(vals), n)
-	}
-	return vals, nil
 }

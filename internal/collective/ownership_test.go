@@ -18,13 +18,12 @@ func kib(op, round, from, to int) []byte {
 
 // TestByteResultsOwnTheirBytes pins the byte collectives' half of the
 // ownership rule on recycling Comms: after a 1 MiB ring AllReduce has filled
-// the pools with 256 KiB frames, every part AllGather, Gather, AllToAll and
-// Scatter return is an allocation of its own size (no 1 KiB window pinning a
-// wire buffer), and no later operation — which redraws and overwrites every
-// frame the results arrived in — changes a result the caller holds, nor does
+// the pools with 256 KiB frames, every part AllGather, Gather and Bcast
+// return is an allocation of its own size (no 1 KiB window pinning a wire
+// buffer), and no later operation — which redraws and overwrites every frame
+// the results arrived in — changes a result the caller holds, nor does
 // scribbling over a result change what a later operation delivers. Group
-// sizes 3, 4 and 5 take the linear and ring AllGather and the linear and
-// pairwise AllToAll.
+// sizes 3, 4 and 5 take the linear and the ring AllGather.
 func TestByteResultsOwnTheirBytes(t *testing.T) {
 	for _, n := range []int{3, 4, 5} {
 		n := n
@@ -55,33 +54,24 @@ func TestByteResultsOwnTheirBytes(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					parts := make([][]byte, n)
-					for r := range parts {
-						parts[r] = kib(2, round, me, r)
+					var in []byte
+					if me == root {
+						in = kib(3, round, root, 0)
 					}
-					a2a, err := c.AllToAll(parts)
+					bc, err := c.Bcast(root, in)
 					if err != nil {
 						return err
 					}
 					if me == root {
-						for r := range parts {
-							parts[r] = kib(3, round, root, r)
-						}
+						bc = append([]byte(nil), bc...) // the root's result is its input
 					}
-					sc, err := c.Scatter(root, parts)
-					if err != nil {
-						return err
-					}
-					got := append(append(append([][]byte{sc}, ag...), g...), a2a...)
-					exp := [][]byte{kib(3, round, root, me)}
+					got := append(append([][]byte{bc}, ag...), g...)
+					exp := [][]byte{kib(3, round, root, 0)}
 					for r := 0; r < n; r++ {
 						exp = append(exp, kib(0, round, r, 0))
 					}
 					for r := 0; r < n && me == root; r++ {
 						exp = append(exp, kib(1, round, r, 0))
-					}
-					for r := 0; r < n; r++ {
-						exp = append(exp, kib(2, round, r, me))
 					}
 					if len(got) != len(exp) {
 						return fmt.Errorf("round %d: %d result parts, want %d", round, len(got), len(exp))

@@ -97,22 +97,28 @@ func TestQuickAllReduceMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestQuickScanMatchesOracle: Scan equals the sequential prefix fold.
+// TestQuickScanMatchesOracle: the ring AllReduce equals the sequential fold
+// for random group sizes and lengths, including lengths below the group
+// size (empty blocks).
 func TestQuickScanMatchesOracle(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%7) + 1
+		vecLen := rng.Intn(2 * n)
 		contribs := make([][]float64, n)
 		for r := range contribs {
-			contribs[r] = []float64{math.Round(rng.Float64() * 32), math.Round(rng.Float64() * 32)}
+			contribs[r] = make([]float64, vecLen)
+			for i := range contribs[r] {
+				contribs[r][i] = math.Round(rng.Float64() * 32)
+			}
 		}
+		want := oracleFold(contribs, Sum)
 		ok := true
 		runGroupQuick(n, func(c *Comm) error {
-			got, err := c.Scan(contribs[c.Rank()], Sum)
+			got, err := c.force(Ring).AllReduce(contribs[c.Rank()], Sum)
 			if err != nil {
 				return err
 			}
-			want := oracleFold(contribs[:c.Rank()+1], Sum)
 			for i := range want {
 				if got[i] != want[i] {
 					return fmt.Errorf("rank %d: %v want %v", c.Rank(), got, want)
@@ -127,8 +133,8 @@ func TestQuickScanMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestQuickGatherScatterRoundTrip: Scatter(Gather(x)) is the identity for
-// random payloads and roots.
+// TestQuickGatherScatterRoundTrip: Gather at a random root and AllGather
+// deliver the same parts, byte for byte, for random payloads.
 func TestQuickGatherScatterRoundTrip(t *testing.T) {
 	f := func(seed int64, nRaw, rootRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -145,12 +151,14 @@ func TestQuickGatherScatterRoundTrip(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			back, err := c.Scatter(root, all)
+			every, err := c.AllGather(payloads[c.Rank()])
 			if err != nil {
 				return err
 			}
-			if string(back) != string(payloads[c.Rank()]) {
-				return fmt.Errorf("rank %d round trip mismatch", c.Rank())
+			for r := range every {
+				if string(every[r]) != string(payloads[r]) || (c.Rank() == root && string(all[r]) != string(payloads[r])) {
+					return fmt.Errorf("rank %d part %d mismatch", c.Rank(), r)
+				}
 			}
 			return nil
 		}, &ok)

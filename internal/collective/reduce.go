@@ -10,50 +10,6 @@ func errBadRoot(op string, root, size int) error {
 	return fmt.Errorf("collective: %s root %d outside group of %d", op, root, size)
 }
 
-// Reduce folds every rank's local slice into one result delivered at root,
-// using a binomial tree (ceil(log2 n) rounds). All ranks must pass slices of
-// the same length. The result is returned at root; other ranks get nil. The
-// local slice is not modified.
-func (c *Comm) Reduce(root int, local []float64, op Op) ([]float64, error) {
-	acc := make([]float64, len(local))
-	copy(acc, local)
-	if err := c.reduceInPlace(root, acc, op); err != nil || c.rank != root {
-		return nil, err
-	}
-	return acc, nil
-}
-
-// reduceInPlace is Reduce folding into acc, which holds the result at root
-// and a partial reduction elsewhere.
-func (c *Comm) reduceInPlace(root int, acc []float64, op Op) error {
-	algo := Binomial
-	return c.run(opReduce, &algo, func(seq uint32) error {
-		if root < 0 || root >= c.size {
-			return errBadRoot("Reduce", root, c.size)
-		}
-		rel := (c.rank - root + c.size) % c.size
-		round := 0
-		for mask := 1; mask < c.size; mask <<= 1 {
-			if rel&mask == 0 {
-				peerRel := rel | mask
-				if peerRel < c.size {
-					peer := (peerRel + root) % c.size
-					vals, err := c.recvScratch(peer, opReduce, c.hdr(seq, round, opReduce), len(acc))
-					if err != nil {
-						return err
-					}
-					op(acc, vals)
-				}
-			} else {
-				peer := (rel - mask + root) % c.size
-				return c.sendFloats(peer, opReduce, c.hdr(seq, round, opReduce), acc)
-			}
-			round++
-		}
-		return nil
-	})
-}
-
 // AllReduce folds every rank's local slice and returns the result on all
 // ranks. Small vectors use recursive doubling (latency-optimal, log2(n)
 // rounds, each moving the full vector); vectors past the dispatch table's
@@ -91,8 +47,8 @@ func (c *Comm) AllReduceInPlace(vals []float64, op Op) error {
 // active ranks to run the doubling sweep; a final pairwise send returns the
 // full result to the ranks that sat out. That costs the remainder pairs two
 // extra latencies but keeps every other rank on the single-sweep critical
-// path, unlike the Reduce+Bcast composition it replaces (two full tree
-// traversals for everyone).
+// path, unlike a Reduce+Bcast composition (two full tree traversals for
+// everyone).
 //
 // Rounds: 0 = remainder pre-fold, 1+k = sweep over bit k, 63 = post-fold.
 func (c *Comm) rdAllReduce(seq uint32, acc []float64, op Op) error {
@@ -166,15 +122,6 @@ func (c *Comm) rdAllReduce(seq uint32, acc []float64, op Op) error {
 		}
 	}
 	return nil
-}
-
-// ReduceScalar reduces a single float64 to root (result valid at root only).
-func (c *Comm) ReduceScalar(root int, v float64, op Op) (float64, error) {
-	c.one[0] = v
-	if err := c.reduceInPlace(root, c.one[:], op); err != nil || c.rank != root {
-		return 0, err
-	}
-	return c.one[0], nil
 }
 
 // AllReduceScalar reduces a single float64 and returns it everywhere.

@@ -25,17 +25,18 @@ func mod(a, n int) int { return ((a % n) + n) % n }
 // ringAllReduce folds acc in place across the group. Rounds 0..size-2 are
 // the reduce-scatter phase, rounds size-1..2*size-3 the allgather phase.
 func (c *Comm) ringAllReduce(seq uint32, acc []float64, op Op) error {
-	if err := c.ringReduceScatterPhase(seq, opAllReduce, acc, op); err != nil {
+	if err := c.ringReduceScatterPhase(seq, acc, op); err != nil {
 		return err
 	}
-	return c.ringAllGatherPhase(seq, opAllReduce, acc)
+	return c.ringAllGatherPhase(seq, acc)
 }
 
 // ringReduceScatterPhase runs the reduce-scatter half: in step s rank r
 // sends block (r-s-1) mod size to its right neighbor and folds its local
 // contribution into the partial for block (r-s-2) mod size arriving from the
 // left. After size-1 steps acc's block r holds the full reduction.
-func (c *Comm) ringReduceScatterPhase(seq uint32, op opID, acc []float64, fold Op) error {
+func (c *Comm) ringReduceScatterPhase(seq uint32, acc []float64, fold Op) error {
+	const op = opAllReduce
 	n, sz, r := len(acc), c.size, c.rank
 	right, left := (r+1)%sz, (r-1+sz)%sz
 	for s := 0; s < sz-1; s++ {
@@ -56,7 +57,8 @@ func (c *Comm) ringReduceScatterPhase(seq uint32, op opID, acc []float64, fold O
 
 // ringAllGatherPhase rotates the reduced blocks: in step s rank r forwards
 // block (r-s) mod size and receives block (r-s-1) mod size into place.
-func (c *Comm) ringAllGatherPhase(seq uint32, op opID, acc []float64) error {
+func (c *Comm) ringAllGatherPhase(seq uint32, acc []float64) error {
+	const op = opAllReduce
 	n, sz, r := len(acc), c.size, c.rank
 	right, left := (r+1)%sz, (r-1+sz)%sz
 	for s := 0; s < sz-1; s++ {

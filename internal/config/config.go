@@ -95,30 +95,6 @@ func (c *Config) Program(name string) (Program, bool) {
 	return Program{}, false
 }
 
-// ExportsOf returns the connections exporting from the given program region.
-// An exported region with no connections gets the framework's low-overhead
-// path (nothing is ever buffered for it).
-func (c *Config) ExportsOf(program, region string) []Connection {
-	var out []Connection
-	for _, conn := range c.Connections {
-		if conn.Export.Program == program && conn.Export.Region == region {
-			out = append(out, conn)
-		}
-	}
-	return out
-}
-
-// ImportsOf returns the connections importing into the given program region.
-func (c *Config) ImportsOf(program, region string) []Connection {
-	var out []Connection
-	for _, conn := range c.Connections {
-		if conn.Import.Program == program && conn.Import.Region == region {
-			out = append(out, conn)
-		}
-	}
-	return out
-}
-
 // Parse reads a configuration from r.
 func Parse(r io.Reader) (*Config, error) {
 	cfg := &Config{}

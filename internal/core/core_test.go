@@ -727,7 +727,7 @@ func TestIntraProgramCollectives(t *testing.T) {
 	}
 }
 
-// TestExportTotals aggregates across processes and connections.
+// TestExportTotals sums ExportStats across processes and connections.
 func TestExportTotals(t *testing.T) {
 	f := buildCoupling(t, Options{BuddyHelp: true}, 2, 1, 4, "REGL 1")
 	exp, imp := f.MustProgram("E"), f.MustProgram("I")
@@ -752,9 +752,18 @@ func TestExportTotals(t *testing.T) {
 		return err
 	})
 	wg.Wait()
-	total, err := exp.ExportTotals("d")
-	if err != nil {
-		t.Fatal(err)
+	var total buffer.Stats
+	for _, proc := range exp.procs {
+		stats, err := proc.ExportStats("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stats {
+			total.Exports += st.Exports
+			total.Copies += st.Copies
+			total.Skips += st.Skips
+			total.Sends += st.Sends
+		}
 	}
 	if total.Exports != 16 { // 8 exports x 2 processes
 		t.Errorf("total exports %d, want 16", total.Exports)
@@ -765,7 +774,7 @@ func TestExportTotals(t *testing.T) {
 	if total.Copies+total.Skips != total.Exports {
 		t.Errorf("copies %d + skips %d != exports %d", total.Copies, total.Skips, total.Exports)
 	}
-	if _, err := exp.ExportTotals("nope"); err == nil {
+	if _, err := exp.procs[0].ExportStats("nope"); err == nil {
 		t.Error("unknown region accepted")
 	}
 }

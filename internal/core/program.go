@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/buffer"
 	"repro/internal/config"
 	"repro/internal/decomp"
 	"repro/internal/obsv"
@@ -180,32 +179,6 @@ func (p *Program) peerDown(err *PeerDownError) {
 	for _, proc := range p.procs {
 		p.proto.evictions.Add(uint64(proc.evictPeer(err.Peer)))
 	}
-}
-
-// ExportTotals aggregates the buffer statistics of an exported region across
-// all processes and connections of the program (counts and times summed;
-// per-request records omitted).
-func (p *Program) ExportTotals(region string) (buffer.Stats, error) {
-	var total buffer.Stats
-	for _, proc := range p.procs {
-		stats, err := proc.ExportStats(region)
-		if err != nil {
-			return buffer.Stats{}, err
-		}
-		for _, st := range stats {
-			total.Exports += st.Exports
-			total.Copies += st.Copies
-			total.Skips += st.Skips
-			total.Sends += st.Sends
-			total.Removes += st.Removes
-			total.UnnecessaryCopies += st.UnnecessaryCopies
-			total.TransferDones += st.TransferDones
-			total.BytesCopied += st.BytesCopied
-			total.CopyTime += st.CopyTime
-			total.UnnecessaryTime += st.UnnecessaryTime
-		}
-	}
-	return total, nil
 }
 
 // err returns the program's first recorded error.

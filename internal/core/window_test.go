@@ -264,5 +264,5 @@ E.d B.d REGL 2.5
 func lockedNumBuffered(ec *exportConn) int {
 	ec.mu.Lock()
 	defer ec.mu.Unlock()
-	return ec.mgr.NumBuffered()
+	return len(ec.mgr.State().Entries)
 }

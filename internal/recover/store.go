@@ -17,10 +17,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/buffer"
+	"repro/internal/match"
 	"repro/internal/wire"
 )
 
@@ -69,17 +71,133 @@ type Store interface {
 	Load(program string) (*Checkpoint, error)
 }
 
-// Encode serializes a checkpoint (gob, via the wire package). Checkpoints
-// keep gob: written once per checkpoint, nested maps, covered by FuzzCheckpoint.
-func Encode(ck *Checkpoint) ([]byte, error) { return wire.Marshal(ck) }
+// format is a checkpoint's leading byte. Checkpoints written before it were
+// gob streams, which never start with it, so they fail Decode.
+const format = 1
 
-// Decode deserializes a checkpoint produced by Encode.
+// Encode serializes a checkpoint: the format byte, then the fields of
+// ckptWire through the control codec (docs/PROTOCOL.md, "Control payloads").
+func Encode(ck *Checkpoint) ([]byte, error) {
+	w := ckptWire{Program: ck.Program, Epoch: ck.Epoch, Seq: ck.Seq, Procs: make([]procWire, len(ck.Procs))}
+	for i, ps := range ck.Procs {
+		w.Procs[i] = procWire{Rank: ps.Rank, Exports: toList(ps.Exports), Imports: toList(ps.Imports)}
+	}
+	return append([]byte{format}, wire.Encode(w.fields)...), nil
+}
+
+// Decode deserializes a checkpoint produced by Encode. It rejects another
+// format byte, a payload the codec rejects, and connection keys out of
+// order or repeated.
 func Decode(b []byte) (*Checkpoint, error) {
-	ck := new(Checkpoint)
-	if err := wire.Unmarshal(b, ck); err != nil {
+	if len(b) == 0 || b[0] != format {
+		return nil, fmt.Errorf("recover: decode checkpoint: not checkpoint format %d (checkpoints from older builds were gob and do not load)", format)
+	}
+	var w ckptWire
+	if err := wire.Decode(b[1:], w.fields); err != nil {
 		return nil, fmt.Errorf("recover: decode checkpoint: %w", err)
 	}
+	ck := &Checkpoint{Program: w.Program, Epoch: w.Epoch, Seq: w.Seq, Procs: make([]ProcState, len(w.Procs))}
+	for i, pw := range w.Procs {
+		exports, err := toMap(pw.Exports)
+		if err != nil {
+			return nil, err
+		}
+		imports, err := toMap(pw.Imports)
+		if err != nil {
+			return nil, err
+		}
+		ck.Procs[i] = ProcState{Rank: pw.Rank, Exports: exports, Imports: imports}
+	}
 	return ck, nil
+}
+
+// ckptWire is a Checkpoint as it is laid out: each ProcState map becomes a
+// list sorted by connection key, so one checkpoint has one encoding.
+type ckptWire struct {
+	Program    string
+	Epoch, Seq uint64
+	Procs      []procWire
+}
+
+type procWire struct {
+	Rank    int
+	Exports []keyed[buffer.ManagerState]
+	Imports []keyed[ImportState]
+}
+
+// keyed is one map entry: a connection key and its value.
+type keyed[V any] struct {
+	Conn string
+	Val  V
+}
+
+func toList[V any](m map[string]V) []keyed[V] {
+	out := make([]keyed[V], 0, len(m))
+	for k, v := range m {
+		out = append(out, keyed[V]{k, v})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Conn < out[j].Conn })
+	return out
+}
+
+// toMap inverts toList (an empty list is a nil map).
+func toMap[V any](l []keyed[V]) (map[string]V, error) {
+	var m map[string]V
+	for i, e := range l {
+		if i > 0 && e.Conn <= l[i-1].Conn {
+			return nil, fmt.Errorf("recover: decode checkpoint: connection %q listed after %q", e.Conn, l[i-1].Conn)
+		}
+		if m == nil {
+			m = make(map[string]V, len(l))
+		}
+		m[e.Conn] = e.Val
+	}
+	return m, nil
+}
+
+func (w *ckptWire) fields(c *wire.Ctl) {
+	c.Str(&w.Program)
+	c.U64(&w.Epoch)
+	c.U64(&w.Seq)
+	wire.List(c, &w.Procs, (*procWire).fields)
+}
+
+func (p *procWire) fields(c *wire.Ctl) {
+	c.Int(&p.Rank)
+	wire.List(c, &p.Exports, func(e *keyed[buffer.ManagerState], c *wire.Ctl) {
+		c.Str(&e.Conn)
+		managerState(c, &e.Val)
+	})
+	wire.List(c, &p.Imports, func(e *keyed[ImportState], c *wire.Ctl) {
+		c.Str(&e.Conn)
+		floats(c, &e.Val.Issued)
+	})
+}
+
+func managerState(c *wire.Ctl, s *buffer.ManagerState) {
+	floats(c, &s.Exports)
+	c.Bool(&s.Finished)
+	wire.List(c, &s.Entries, func(e *buffer.EntryState, c *wire.Ctl) {
+		c.F64(&e.TS)
+		floats(c, &e.Data)
+		c.Bool(&e.Sent)
+	})
+	wire.List(c, &s.Requests, func(r *buffer.RequestState, c *wire.Ctl) {
+		c.F64(&r.X)
+		c.Bool(&r.Decided)
+		res := int(r.Result)
+		c.Int(&res)
+		r.Result = match.Result(res)
+		c.F64(&r.MatchTS)
+		for _, b := range [...]*bool{&r.ViaBuddy, &r.Verified, &r.DataSent, &r.Released} {
+			c.Bool(b)
+		}
+		c.F64(&r.CandTS)
+	})
+}
+
+func floats(c *wire.Ctl, v *[]float64) {
+	wire.List(c, v, func(f *float64, c *wire.Ctl) { c.F64(f) })
 }
 
 // DirStore keeps one checkpoint file per program in a directory, written

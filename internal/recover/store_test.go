@@ -3,9 +3,11 @@ package recover
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/buffer"
+	"repro/internal/wire"
 )
 
 func sampleCheckpoint() *Checkpoint {
@@ -89,5 +91,37 @@ func TestMemStoreIsolation(t *testing.T) {
 	}
 	if got.Procs[0].Imports["F>U"].Issued[0] != 19.6 {
 		t.Fatal("loaded checkpoint aliases the saver's memory")
+	}
+}
+
+// TestDecodeRejects: a checkpoint from an older build (gob), every
+// truncation of a valid one, and one whose connection keys are out of
+// order or repeated all fail Decode.
+func TestDecodeRejects(t *testing.T) {
+	old, err := wire.Marshal(sampleCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(old); err == nil || !strings.Contains(err.Error(), "format") {
+		t.Errorf("gob checkpoint: %v, want an error naming the format", err)
+	}
+	enc, err := Encode(sampleCheckpoint())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := range enc {
+		if _, err := Decode(enc[:n]); err == nil {
+			t.Fatalf("checkpoint truncated to %d of %d bytes accepted", n, len(enc))
+		}
+	}
+	for name, conns := range map[string][]string{"unsorted": {"b>c", "a>c"}, "repeated": {"a>c", "a>c"}} {
+		w := ckptWire{Program: "U", Procs: []procWire{{}}}
+		for _, k := range conns {
+			w.Procs[0].Imports = append(w.Procs[0].Imports, keyed[ImportState]{Conn: k})
+		}
+		_, err := Decode(append([]byte{format}, wire.Encode(w.fields)...))
+		if err == nil || !strings.Contains(err.Error(), `"a>c"`) {
+			t.Errorf("%s connection keys: %v, want an error naming the key", name, err)
+		}
 	}
 }

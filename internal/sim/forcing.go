@@ -14,9 +14,6 @@ import (
 // Forcing is a space-time scalar field f(t, x, y) on the unit square.
 type Forcing func(t, x, y float64) float64
 
-// ZeroForcing is the homogeneous forcing (free wave equation).
-func ZeroForcing(t, x, y float64) float64 { return 0 }
-
 // PulseForcing is a smooth localized source that orbits the domain center —
 // a stand-in for the external driving field of a multi-physics coupling
 // (e.g. an energy deposition computed by another model).
@@ -25,11 +22,6 @@ func PulseForcing(t, x, y float64) float64 {
 	cy := 0.5 + 0.25*math.Sin(t/3)
 	d2 := (x-cx)*(x-cx) + (y-cy)*(y-cy)
 	return 5 * math.Exp(-50*d2) * math.Sin(2*t)
-}
-
-// StandingForcing drives the (1,1) eigenmode of the unit square.
-func StandingForcing(t, x, y float64) float64 {
-	return math.Sin(math.Pi*x) * math.Sin(math.Pi*y) * math.Cos(3*t)
 }
 
 // Field samples a Forcing over one process's block of an N x N interior
@@ -63,11 +55,4 @@ func (f *Field) Sample(t float64, dst []float64) {
 			i++
 		}
 	}
-}
-
-// SampleNew is Sample into a fresh slice.
-func (f *Field) SampleNew(t float64) []float64 {
-	dst := make([]float64, f.Block.Area())
-	f.Sample(t, dst)
-	return dst
 }

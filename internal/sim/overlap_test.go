@@ -1,76 +1,36 @@
 package sim
 
 import (
-	"math"
 	"sync"
 	"testing"
-
-	"repro/internal/collective"
+	"time"
 )
 
-// TestOverlappedMatchesBlocking: StepOverlapped must be bitwise identical to
-// Step on every rank.
-func TestOverlappedMatchesBlocking(t *testing.T) {
-	const n, steps, p = 24, 30, 3
-	run := func(overlapped bool) [][]float64 {
-		comms := newGroup(t, p)
-		l := rowLayout(t, n, p)
-		out := make([][]float64, p)
-		errs := make([]error, p)
-		var wg sync.WaitGroup
-		for r := 0; r < p; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				s, err := NewWaveSolver(comms[r], l, r, -1)
-				if err != nil {
-					errs[r] = err
-					return
-				}
-				s.SetInitial(
-					func(x, y float64) float64 { return math.Sin(math.Pi*x) * math.Sin(2*math.Pi*y) },
-					func(x, y float64) float64 { return x * y },
-				)
-				field := NewField(l, r, PulseForcing)
-				buf := make([]float64, s.Block().Area())
-				for k := 0; k < steps; k++ {
-					field.Sample(s.Time(), buf)
-					s.SetForcing(buf)
-					if overlapped {
-						errs[r] = s.StepOverlapped()
-					} else {
-						errs[r] = s.Step()
-					}
-					if errs[r] != nil {
-						return
-					}
-				}
-				local := make([]float64, len(s.Local()))
-				copy(local, s.Local())
-				out[r] = local
-			}(r)
-		}
-		wg.Wait()
-		for r, err := range errs {
-			if err != nil {
-				t.Fatalf("rank %d: %v", r, err)
-			}
-		}
-		return out
-	}
-	blocking := run(false)
-	overlapped := run(true)
+// matchSerial fails unless every rank's block of a p-rank row-band solve of
+// an n x n grid equals the same rows of the serial solve, bit for bit.
+func matchSerial(t *testing.T, n, p int, blocks [][]float64, serial []float64) {
+	t.Helper()
+	l := rowLayout(t, n, p)
 	for r := 0; r < p; r++ {
-		for i := range blocking[r] {
-			if blocking[r][i] != overlapped[r][i] {
-				t.Fatalf("rank %d index %d: blocking %v != overlapped %v",
-					r, i, blocking[r][i], overlapped[r][i])
+		b := l.Block(r)
+		for i := 0; i < b.Area(); i++ {
+			row, col := b.R0+i/b.Cols(), i%b.Cols()
+			if blocks[r][i] != serial[row*n+col] {
+				t.Fatalf("p=%d rank %d element (%d,%d): %v != serial %v", p, r, row, col, blocks[r][i], serial[row*n+col])
 			}
 		}
 	}
 }
 
-// TestOverlappedSingleProc: falls back to the plain step.
+// TestOverlappedMatchesBlocking: a forced solve on row bands of unequal
+// height (25 rows over 3 ranks) is bitwise identical to the serial solve.
+func TestOverlappedMatchesBlocking(t *testing.T) {
+	const n, steps, p = 25, 30, 3
+	serial := runParallelWave(t, n, 1, steps, PulseForcing)[0]
+	matchSerial(t, n, p, runParallelWave(t, n, p, steps, PulseForcing), serial)
+}
+
+// TestOverlappedSingleProc: a one-process solver steps without a Comm.
 func TestOverlappedSingleProc(t *testing.T) {
 	l := rowLayout(t, 8, 1)
 	s, err := NewWaveSolver(nil, l, 0, -1)
@@ -78,7 +38,7 @@ func TestOverlappedSingleProc(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetInitial(func(x, y float64) float64 { return x }, func(x, y float64) float64 { return 0 })
-	if err := s.StepOverlapped(); err != nil {
+	if err := s.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if s.Steps() != 1 {
@@ -86,15 +46,25 @@ func TestOverlappedSingleProc(t *testing.T) {
 	}
 }
 
-// TestOverlappedSingleRowBands: blocks of height 1 have no interior; the
-// boundary-only path must still be correct.
+// TestOverlappedSingleRowBands: blocks of height 1, whose every row borders
+// a halo, still match the serial solve.
 func TestOverlappedSingleRowBands(t *testing.T) {
-	const n, p = 4, 4 // one row per rank
+	const n, p, steps = 4, 4, 10 // one row per rank
+	serial := runParallelWave(t, n, 1, steps, PulseForcing)[0]
+	matchSerial(t, n, p, runParallelWave(t, n, p, steps, PulseForcing), serial)
+}
+
+// TestOverlappedDriftAllowed: halo sends do not wait for the receiver, so
+// a rank may lead its neighbor by an iteration (the paper's condition for
+// buddy-help to help: loose internal synchronization). Rank 0 stalls before
+// every other step; the solve neither deadlocks nor changes.
+func TestOverlappedDriftAllowed(t *testing.T) {
+	const n, p, steps = 8, 2, 50
 	comms := newGroup(t, p)
 	l := rowLayout(t, n, p)
 	var wg sync.WaitGroup
 	errs := make([]error, p)
-	outs := make([][]float64, p)
+	out := make([][]float64, p)
 	for r := 0; r < p; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -104,13 +74,16 @@ func TestOverlappedSingleRowBands(t *testing.T) {
 				errs[r] = err
 				return
 			}
-			s.SetInitial(func(x, y float64) float64 { return x + y }, func(x, y float64) float64 { return 0 })
-			for k := 0; k < 10; k++ {
-				if errs[r] = s.StepOverlapped(); errs[r] != nil {
+			s.SetInitial(func(x, y float64) float64 { return x * y }, func(x, y float64) float64 { return 0 })
+			for k := 0; k < steps; k++ {
+				if r == 0 && k%2 == 0 {
+					time.Sleep(200 * time.Microsecond)
+				}
+				if errs[r] = s.Step(); errs[r] != nil {
 					return
 				}
 			}
-			outs[r] = append([]float64(nil), s.Local()...)
+			out[r] = append([]float64(nil), s.Local()...)
 		}(r)
 	}
 	wg.Wait()
@@ -119,57 +92,15 @@ func TestOverlappedSingleRowBands(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	// Compare against the serial result.
 	serial, err := NewWaveSolver(nil, rowLayout(t, n, 1), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.SetInitial(func(x, y float64) float64 { return x + y }, func(x, y float64) float64 { return 0 })
-	for k := 0; k < 10; k++ {
+	serial.SetInitial(func(x, y float64) float64 { return x * y }, func(x, y float64) float64 { return 0 })
+	for k := 0; k < steps; k++ {
 		if err := serial.Step(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for r := 0; r < p; r++ {
-		for c := 0; c < n; c++ {
-			if outs[r][c] != serial.Local()[r*n+c] {
-				t.Fatalf("rank %d col %d: %v != %v", r, c, outs[r][c], serial.Local()[r*n+c])
-			}
-		}
-	}
+	matchSerial(t, n, p, out, serial.Local())
 }
-
-// TestOverlappedDriftAllowed: with overlapped stepping a rank can be a full
-// iteration ahead of its neighbor without deadlock (the paper's condition
-// for buddy-help to help: loose internal synchronization).
-func TestOverlappedDriftAllowed(t *testing.T) {
-	comms := newGroup(t, 2)
-	l := rowLayout(t, 8, 2)
-	var wg sync.WaitGroup
-	errs := make([]error, 2)
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			s, err := NewWaveSolver(comms[r], l, r, -1)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			s.SetInitial(func(x, y float64) float64 { return 1 }, func(x, y float64) float64 { return 0 })
-			for k := 0; k < 50; k++ {
-				if errs[r] = s.StepOverlapped(); errs[r] != nil {
-					return
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-}
-
-var _ = collective.Sum // imported for the shared test helpers

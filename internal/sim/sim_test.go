@@ -366,10 +366,11 @@ func TestHeatValidation(t *testing.T) {
 func TestFieldSampling(t *testing.T) {
 	l := rowLayout(t, 4, 2)
 	f := NewField(l, 1, func(tm, x, y float64) float64 { return tm + 10*x + 100*y })
-	vals := f.SampleNew(2)
+	vals := make([]float64, f.Block.Area())
 	if len(vals) != 8 {
 		t.Fatalf("len %d", len(vals))
 	}
+	f.Sample(2, vals)
 	h := f.H()
 	// First element of rank 1's block: global (2, 0) -> x=h, y=3h.
 	want := 2 + 10*h + 100*3*h
@@ -379,19 +380,13 @@ func TestFieldSampling(t *testing.T) {
 }
 
 func TestForcingFunctions(t *testing.T) {
-	if ZeroForcing(1, 0.5, 0.5) != 0 {
-		t.Error("ZeroForcing nonzero")
-	}
 	if PulseForcing(0.3, 0.5, 0.5) == 0 && PulseForcing(0.3, 0.55, 0.5) == 0 {
 		t.Error("PulseForcing identically zero near center")
 	}
-	if math.Abs(StandingForcing(0, 0.5, 0.5)-1) > 1e-12 {
-		t.Errorf("StandingForcing(0, .5, .5) = %v", StandingForcing(0, 0.5, 0.5))
-	}
-	for _, f := range []Forcing{ZeroForcing, PulseForcing, StandingForcing} {
-		v := f(1.7, 0.25, 0.75)
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Errorf("forcing produced %v", v)
+	for _, tm := range []float64{0, 1.7, 40} {
+		v := PulseForcing(tm, 0.25, 0.75)
+		if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 5 {
+			t.Errorf("PulseForcing(%v) = %v, want finite and within its amplitude 5", tm, v)
 		}
 	}
 }

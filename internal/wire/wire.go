@@ -1,8 +1,10 @@
 // Package wire provides the small set of payload codecs shared by the
 // framework layers: a fast flat codec for []float64 (the bulk data type of
 // the coupled simulations), Ctl, the symmetric field codec behind the
-// coupling protocol's fixed control layouts, the framing primitives of the
-// transport's binary frames, and gob helpers for checkpoints.
+// coupling protocol's fixed control layouts and checkpoints, and the framing
+// primitives of the transport's binary frames. The gob helpers remain only
+// for the benchmark, which prices gob against Ctl; no program package
+// calls them.
 package wire
 
 import (
@@ -54,8 +56,7 @@ func DecodeFloat64sInto(b []byte, vals []float64) error {
 	return nil
 }
 
-// Marshal gob-encodes v. It is used for low-rate structures (checkpoints)
-// where convenience beats speed.
+// Marshal gob-encodes v.
 func Marshal(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
